@@ -3,7 +3,7 @@
 Subcommands: schur, class, mult, lr, integrate, gkm-check, gkm-graph,
 kl-verify, verify.  Exit status is 0 on success, 1 on a domain or usage
 error, 2 on a verification failure.  JSON output uses sorted keys and
-compact separators so it is byte-stable across runs and thread counts.
+compact separators so it is byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .gkmgrass import (
     schubert_class,
     structure_constants,
 )
-from .suites import SUITE_NAMES, run_suites, thread_count
+from .suites import SUITE_NAMES, run_suites
 from .ytcomb import GrassmannianShape, Partition
 
 DOMAIN_ERROR = 1
@@ -301,7 +301,7 @@ def _cmd_kl_verify(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    report = run_suites(names, thread_count())
+    report = run_suites(names)
     if args.json:
         _emit(_json_text(report), args)
     else:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .exactalg import EqschubError, Polynomial
@@ -35,7 +34,6 @@ class DoubleSchur:
 
 
 _CACHE: dict = {}
-_LOCK = threading.Lock()
 
 
 def double_schur(lam, k: int) -> DoubleSchur:
@@ -61,8 +59,7 @@ def double_schur(lam, k: int) -> DoubleSchur:
                 term = term * (Polynomial.variable("x", s) - Polynomial.variable("u", idx))
         total = total + term
     result = DoubleSchur(lam, k, total)
-    with _LOCK:  # last write wins; recomputation is benign
-        _CACHE[key] = result
+    _CACHE[key] = result
     return result
 
 

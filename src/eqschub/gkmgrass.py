@@ -10,7 +10,6 @@ tuples with exact arithmetic.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping
@@ -23,6 +22,7 @@ from .exactalg import (
     IndexOutOfRange,
     LinearForm,
     NotDivisible,
+    ParseError,
     Polynomial,
     elementary_symmetric,
     ratf_sum,
@@ -169,9 +169,17 @@ class EqClass:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "EqClass":
-        shape = GrassmannianShape(int(data["n"]), int(data["k"]))
+        """Inverse of to_json_dict; input of the wrong structure raises ParseError."""
+        if not isinstance(data, Mapping) or not {"n", "k", "restrictions"} <= data.keys():
+            raise ParseError("class JSON must be an object with keys n, k and restrictions")
+        n, k, values = data["n"], data["k"], data["restrictions"]
+        if type(n) is not int or type(k) is not int:
+            raise ParseError("class JSON n and k must be integers")
+        if not isinstance(values, Mapping) or not all(isinstance(v, str) for v in values.values()):
+            raise ParseError("class JSON restrictions must map subsets to polynomial text")
+        shape = GrassmannianShape(n, k)
         restrictions = {}
-        for key, text in data["restrictions"].items():
+        for key, text in values.items():
             elems = tuple(int(s) for s in key.strip("{}").split(",") if s)
             restrictions[PivotSubset(elems)] = Polynomial.parse(text)
         return cls(shape, restrictions)
@@ -188,18 +196,9 @@ def constant_class(shape: GrassmannianShape, value) -> EqClass:
     return EqClass(shape, {I: value for I in shape.subsets()})
 
 
-def class_add(a: EqClass, b: EqClass) -> EqClass:
-    return a + b
-
-
-def class_mul(a: EqClass, b: EqClass) -> EqClass:
-    return a * b
-
-
 _EULER_CACHE: dict = {}
 _SCHUBERT_CACHE: dict = {}
 _GRAPH_CACHE: dict = {}
-_LOCK = threading.Lock()
 
 
 def euler_class(I, shape: GrassmannianShape) -> Polynomial:
@@ -212,8 +211,7 @@ def euler_class(I, shape: GrassmannianShape) -> Polynomial:
     prod = Polynomial.one()
     for w in normal_weights(I, shape):
         prod = prod * w.to_polynomial()
-    with _LOCK:
-        _EULER_CACHE[key] = prod
+    _EULER_CACHE[key] = prod
     return prod
 
 
@@ -242,8 +240,7 @@ def schubert_class(lam, shape: GrassmannianShape) -> EqClass:
         for J in shape.subsets()
     }
     result = EqClass(shape, restrictions)
-    with _LOCK:
-        _SCHUBERT_CACHE[key] = result
+    _SCHUBERT_CACHE[key] = result
     return result
 
 
@@ -308,8 +305,7 @@ def gkm_graph(shape: GrassmannianShape) -> GKMGraph:
                 if I.elements < J.elements:
                     edges.append((I, J, LinearForm.weight(j, i)))
     graph = GKMGraph(shape, vertices, tuple(edges))
-    with _LOCK:
-        _GRAPH_CACHE[key] = graph
+    _GRAPH_CACHE[key] = graph
     return graph
 
 

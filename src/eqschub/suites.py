@@ -1,14 +1,12 @@
 """Batch verification sweeps behind the ``verify`` subcommand.
 
-Each suite walks a fixed parameter range, returns a deterministic report,
-and is safe to shard over threads: tasks are independent and results are
-merged in task order, so the output is identical for any thread count.
+Each suite walks a fixed parameter range in a fixed order and returns a
+deterministic report, so the output is identical from run to run.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from math import prod
 
 from .exactalg import Polynomial
 from .gkmgrass import (
@@ -31,202 +29,137 @@ from .dschur import restrict_schur
 SUITE_NAMES = ("interpolation", "gkm", "positivity", "duality", "kl", "integrals")
 
 
-def thread_count() -> int:
-    """Worker count, capped by the EQSCHUB_THREADS environment variable."""
-    available = os.cpu_count() or 1
-    raw = os.environ.get("EQSCHUB_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            cap = 1
-        return max(1, min(available, cap))
-    return max(1, min(available, 4))
-
-
-def _run_tasks(tasks, worker, threads: int) -> list[str]:
-    """Apply worker to every task, merging failure messages in task order."""
-    if threads <= 1 or len(tasks) <= 1:
-        chunks = [worker(task) for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(worker, tasks))
-    failures: list[str] = []
-    for chunk in chunks:
-        failures.extend(chunk)
-    return failures
-
-
-def suite_interpolation(threads: int = 1) -> dict:
+def suite_interpolation() -> dict:
     """Diagonal product formula and vanishing of restricted double Schurs."""
-    tasks = []
+    failures = []
+    cases = 0
     for n in range(2, 7):
         for k in range(1, n):
             shape = GrassmannianShape(n, k)
             for lam in shape.partitions():
-                tasks.append((shape, lam))
-
-    def worker(task):
-        shape, lam = task
-        failures = []
-        diagonal = restrict_schur(lam, lam, shape)
-        expected = euler_class(partition_to_subset(lam, shape), shape)
-        if diagonal != expected:
-            failures.append(f"Gr({shape.k},{shape.n}) lam={lam}: diagonal {diagonal} != {expected}")
-        for mu in shape.partitions():
-            if not mu.contains(lam):
-                value = restrict_schur(lam, mu, shape)
-                if value:
-                    failures.append(
-                        f"Gr({shape.k},{shape.n}) lam={lam} mu={mu}: expected 0, got {value}"
-                    )
-        return failures
-
-    failures = _run_tasks(tasks, worker, threads)
-    return {"name": "interpolation", "cases": len(tasks), "failures": failures}
+                cases += 1
+                diagonal = restrict_schur(lam, lam, shape)
+                expected = euler_class(partition_to_subset(lam, shape), shape)
+                if diagonal != expected:
+                    failures.append(f"Gr({k},{n}) lam={lam}: diagonal {diagonal} != {expected}")
+                for mu in shape.partitions():
+                    if not mu.contains(lam):
+                        value = restrict_schur(lam, mu, shape)
+                        if value:
+                            failures.append(
+                                f"Gr({k},{n}) lam={lam} mu={mu}: expected 0, got {value}"
+                            )
+    return {"name": "interpolation", "cases": cases, "failures": failures}
 
 
-def suite_gkm(threads: int = 1) -> dict:
+def suite_gkm() -> dict:
     """Moment-graph divisibility for Schubert classes and their pairwise products."""
-    tasks = []
+    failures = []
+    cases = 0
     for n, k in ((4, 2), (6, 3)):
         shape = GrassmannianShape(n, k)
         lams = shape.partitions()
-        for lam in lams:
-            tasks.append((shape, lam, None))
-        for i, lam in enumerate(lams):
-            for mu in lams[i:]:
-                tasks.append((shape, lam, mu))
-
-    def worker(task):
-        shape, lam, mu = task
-        cls = schubert_class(lam, shape)
-        label = f"Gr({shape.k},{shape.n}) {lam}"
-        if mu is not None:
-            cls = cls * schubert_class(mu, shape)
-            label += f"*{mu}"
-        result = gkm_check(cls)
-        if result.ok:
-            return []
-        return [f"{label}: {v}" for v in result.violations]
-
-    failures = _run_tasks(tasks, worker, threads)
-    return {"name": "gkm", "cases": len(tasks), "failures": failures}
+        pairs = [(lam, None) for lam in lams]
+        pairs += [(lam, mu) for i, lam in enumerate(lams) for mu in lams[i:]]
+        for lam, mu in pairs:
+            cases += 1
+            cls = schubert_class(lam, shape)
+            label = f"Gr({k},{n}) {lam}"
+            if mu is not None:
+                cls = cls * schubert_class(mu, shape)
+                label += f"*{mu}"
+            failures.extend(f"{label}: {v}" for v in gkm_check(cls).violations)
+    return {"name": "gkm", "cases": cases, "failures": failures}
 
 
-def suite_positivity(threads: int = 1) -> dict:
+def suite_positivity() -> dict:
     """Structure constants: degree bookkeeping plus positivity certificates."""
-    tasks = []
+    failures = []
+    cases = 0
     for n, k in ((4, 2), (5, 2)):
         shape = GrassmannianShape(n, k)
         lams = shape.partitions()
         for i, lam in enumerate(lams):
             for mu in lams[i:]:
-                tasks.append((shape, lam, mu))
-
-    def worker(task):
-        shape, lam, mu = task
-        failures = []
-        expansion = structure_constants(lam, mu, shape)
-        label = f"Gr({shape.k},{shape.n}) {lam}*{mu}"
-        for nu, coeff in expansion.coeffs.items():
-            want = lam.weight + mu.weight - nu.weight
-            if want < 0:
-                failures.append(f"{label} -> {nu}: weight above the product degree")
-                continue
-            if not coeff.is_homogeneous() or coeff.degree() != want:
-                failures.append(f"{label} -> {nu}: {coeff} not homogeneous of degree {want}")
-            cert = positivity_certificate(coeff, shape.n)
-            if not cert.ok:
-                failures.append(f"{label} -> {nu}: {cert.witness}")
-        return failures
-
-    failures = _run_tasks(tasks, worker, threads)
-    return {"name": "positivity", "cases": len(tasks), "failures": failures}
+                cases += 1
+                expansion = structure_constants(lam, mu, shape)
+                label = f"Gr({k},{n}) {lam}*{mu}"
+                for nu, coeff in expansion.coeffs.items():
+                    want = lam.weight + mu.weight - nu.weight
+                    if want < 0:
+                        failures.append(f"{label} -> {nu}: weight above the product degree")
+                        continue
+                    if not coeff.is_homogeneous() or coeff.degree() != want:
+                        failures.append(
+                            f"{label} -> {nu}: {coeff} not homogeneous of degree {want}"
+                        )
+                    cert = positivity_certificate(coeff, n)
+                    if not cert.ok:
+                        failures.append(f"{label} -> {nu}: {cert.witness}")
+    return {"name": "positivity", "cases": cases, "failures": failures}
 
 
-def suite_duality(threads: int = 1) -> dict:
+def suite_duality() -> dict:
     """Pairing of Schubert against opposite classes is the Kronecker delta."""
-    tasks = []
+    failures = []
+    cases = 0
     for n, k in ((3, 1), (4, 2)):
         shape = GrassmannianShape(n, k)
         for lam in shape.partitions():
             for mu in shape.partitions():
-                tasks.append((shape, lam, mu))
-
-    def worker(task):
-        shape, lam, mu = task
-        value = integrate(schubert_class(lam, shape) * opposite_schubert_class(mu, shape))
-        expected = 1 if lam == mu else 0
-        if value != expected:
-            return [f"Gr({shape.k},{shape.n}) <{lam},{mu}>: got {value}, want {expected}"]
-        return []
-
-    failures = _run_tasks(tasks, worker, threads)
-    return {"name": "duality", "cases": len(tasks), "failures": failures}
+                cases += 1
+                value = integrate(schubert_class(lam, shape) * opposite_schubert_class(mu, shape))
+                expected = 1 if lam == mu else 0
+                if value != expected:
+                    failures.append(f"Gr({k},{n}) <{lam},{mu}>: got {value}, want {expected}")
+    return {"name": "duality", "cases": cases, "failures": failures}
 
 
-def suite_kl(threads: int = 1) -> dict:
+def suite_kl() -> dict:
     """Determinantal classes agree with Schubert classes on whole boxes."""
-    tasks = []
+    failures = []
+    cases = 0
     for n, k in ((4, 2), (5, 2), (6, 3)):
         shape = GrassmannianShape(n, k)
         for lam in shape.partitions():
-            tasks.append((shape, lam))
-
-    def worker(task):
-        shape, lam = task
-        if kempf_laksov_class(lam, shape) != schubert_class(lam, shape):
-            return [f"Gr({shape.k},{shape.n}) {lam}: determinant disagrees"]
-        return []
-
-    failures = _run_tasks(tasks, worker, threads)
-    return {"name": "kl", "cases": len(tasks), "failures": failures}
+            cases += 1
+            if kempf_laksov_class(lam, shape) != schubert_class(lam, shape):
+                failures.append(f"Gr({k},{n}) {lam}: determinant disagrees")
+    return {"name": "kl", "cases": cases, "failures": failures}
 
 
-def suite_integrals(threads: int = 1) -> dict:
+def suite_integrals() -> dict:
     """Projective-space relations and the four-lines enumerative integral."""
-    tasks = [("zeta", n) for n in range(2, 7)]
-    tasks.append(("lines", None))
-
-    def worker(task):
-        kind, n = task
-        failures = []
-        if kind == "zeta":
-            shape = GrassmannianShape(n, 1)
-            zeta = projective_zeta(n)
-            for idx, I in enumerate(shape.subsets(), start=1):
-                if zeta.restriction(I) != -Polynomial.variable("t", idx):
-                    failures.append(f"P^{n-1}: zeta at p_{idx} is {zeta.restriction(I)}")
-            relation = constant_class(shape, 1)
-            for j in range(1, n + 1):
-                relation = relation * (zeta + constant_class(shape, Polynomial.variable("t", j)))
-            if relation:
-                failures.append(f"P^{n-1}: prod(zeta + t_j) is not zero")
-            for idx, I in enumerate(shape.subsets(), start=1):
-                point = constant_class(shape, 1)
-                for j in range(1, n + 1):
-                    if j != idx:
-                        point = point * (zeta + constant_class(shape, Polynomial.variable("t", j)))
-                if point != EqClass(shape, {I: tangent_euler(I, shape)}):
-                    failures.append(f"P^{n-1}: point class at p_{idx} mismatch")
-            power = constant_class(shape, 1)
-            for exp in range(0, n):
-                value = integrate(power)
-                expected = 1 if exp == n - 1 else 0
-                if value != expected:
-                    failures.append(f"P^{n-1}: integral of zeta^{exp} = {value}, want {expected}")
-                power = power * zeta
-        else:
-            shape = GrassmannianShape(4, 2)
-            sigma1 = schubert_class((1,), shape)
-            value = integrate(sigma1 * sigma1 * sigma1 * sigma1)
-            if value != 2:
-                failures.append(f"Gr(2,4): integral of sigma1^4 = {value}, want 2")
-        return failures
-
-    failures = _run_tasks(tasks, worker, threads)
-    return {"name": "integrals", "cases": len(tasks), "failures": failures}
+    failures = []
+    cases = 0
+    for n in range(2, 7):
+        cases += 1
+        shape = GrassmannianShape(n, 1)
+        zeta = projective_zeta(n)
+        for idx, I in enumerate(shape.subsets(), start=1):
+            if zeta.restriction(I) != -Polynomial.variable("t", idx):
+                failures.append(f"P^{n-1}: zeta at p_{idx} is {zeta.restriction(I)}")
+        one = constant_class(shape, 1)
+        factors = [zeta + constant_class(shape, Polynomial.variable("t", j))
+                   for j in range(1, n + 1)]
+        if prod(factors, start=one):
+            failures.append(f"P^{n-1}: prod(zeta + t_j) is not zero")
+        for idx, I in enumerate(shape.subsets(), start=1):
+            point = prod(factors[: idx - 1] + factors[idx:], start=one)
+            if point != EqClass(shape, {I: tangent_euler(I, shape)}):
+                failures.append(f"P^{n-1}: point class at p_{idx} mismatch")
+        for exp in range(0, n):
+            value = integrate(zeta ** exp)
+            expected = 1 if exp == n - 1 else 0
+            if value != expected:
+                failures.append(f"P^{n-1}: integral of zeta^{exp} = {value}, want {expected}")
+    cases += 1
+    shape = GrassmannianShape(4, 2)
+    sigma1 = schubert_class((1,), shape)
+    value = integrate(sigma1 * sigma1 * sigma1 * sigma1)
+    if value != 2:
+        failures.append(f"Gr(2,4): integral of sigma1^4 = {value}, want 2")
+    return {"name": "integrals", "cases": cases, "failures": failures}
 
 
 _SUITES = {
@@ -239,10 +172,8 @@ _SUITES = {
 }
 
 
-def run_suites(names=None, threads: int | None = None) -> dict:
+def run_suites(names=None) -> dict:
     """Run the named suites (all of them by default) and merge the reports."""
-    if threads is None:
-        threads = thread_count()
     if names is None:
         names = SUITE_NAMES
     unknown = [n for n in names if n not in _SUITES]
@@ -251,7 +182,7 @@ def run_suites(names=None, threads: int | None = None) -> dict:
     reports = []
     for name in SUITE_NAMES:
         if name in names:
-            report = _SUITES[name](threads)
+            report = _SUITES[name]()
             report["ok"] = not report["failures"]
             reports.append(report)
     return {"ok": all(r["ok"] for r in reports), "suites": reports}

@@ -85,7 +85,7 @@ def test_criterion_02_double_schur_golden():
 
 def test_criterion_03_interpolation():
     start = time.perf_counter()
-    report = suite_interpolation(threads=1)
+    report = suite_interpolation()
     elapsed = time.perf_counter() - start
     _report(3, f"interpolation identities, n = 2..6 ({report['cases']} shapes)",
             report["failures"], elapsed, budget=30.0)

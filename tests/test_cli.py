@@ -164,6 +164,21 @@ def test_missing_class_file(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("payload", [
+    {"n": 4, "k": 2},
+    [1, 2],
+    {"n": 4, "k": 2, "restrictions": []},
+    {"n": 4, "k": 2, "restrictions": {"{1,2}": 5}},
+], ids=["missing-key", "top-level-list", "restrictions-list", "non-string-value"])
+def test_malformed_class_json(tmp_path, capsys, payload):
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "gkm-check", "--n", "4", "--k", "2", "--in", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("eqschub: error: ")
+
+
 # ---------------------------------------------------------- expression parser
 
 def test_expression_parser_values():
@@ -194,16 +209,13 @@ def test_expression_parser_errors():
 
 # -------------------------------------------------------------- determinism
 
-def test_suite_reports_identical_across_thread_counts():
-    one = run_suites(("duality", "integrals"), threads=1)
-    two = run_suites(("duality", "integrals"), threads=2)
+def test_suite_reports_identical_across_runs():
+    one = run_suites(("duality", "integrals"))
+    two = run_suites(("duality", "integrals"))
     assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
 
 
-def test_thread_env_cap(monkeypatch):
-    from eqschub.suites import thread_count
-
-    monkeypatch.setenv("EQSCHUB_THREADS", "1")
-    assert thread_count() == 1
-    monkeypatch.setenv("EQSCHUB_THREADS", "not-a-number")
-    assert thread_count() == 1
+def test_verify_fast_suites_golden():
+    names = ("interpolation", "positivity", "duality", "kl", "integrals")
+    text = json.dumps(run_suites(names), sort_keys=True, separators=(",", ":")) + "\n"
+    assert text == (GOLDEN / "verify_fast.json").read_text()
