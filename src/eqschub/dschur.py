@@ -1,10 +1,16 @@
-"""Double Schur polynomials via tableau sums, and their specializations."""
+"""Double Schur polynomials and their specializations, all as one tableau sum.
+
+Each value is a sum over semistandard tableaux of a product of one linear
+factor per box.  The double Schur polynomial takes x_s - u_a, the ordinary
+one x_s, and the restriction to a fixed point of Gr(k, n) the weight
+t_{n+1-a} - t_{i_s} directly, so no polynomial is substituted into.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import EqschubError, Polynomial
+from .exactalg import EqschubError, Polynomial, t, u, x
 from .ytcomb import (
     DoesNotFitBox,
     GrassmannianShape,
@@ -36,29 +42,32 @@ class DoubleSchur:
 _CACHE: dict = {}
 
 
-def double_schur(lam, k: int) -> DoubleSchur:
-    """Sum over semistandard tableaux of prod (x_{S(i,j)} - u_{S(i,j)+j-i}).
+def _tableau_sum(lam: Partition, k: int, factor) -> Polynomial:
+    """Sum over SSYT with entries <= k of prod factor(s, s + j - i).
 
-    Box coordinates are 1-indexed matrix style, so the u index of box (i, j)
-    filled with s is s + j - i; column strictness keeps every index >= 1.
+    Box coordinates (i, j) are 1-indexed matrix style and s is the entry of
+    the box; column strictness keeps the second index s + j - i >= 1.
     """
-    lam = as_partition(lam)
     if len(lam.parts) > k:
         raise TooManyRows(f"{lam} has more than {k} rows")
-    key = (lam.parts, k)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
     total = Polynomial.zero()
     for tab in ssyt_enumerate(lam, k):
         term = Polynomial.one()
         for i, row in enumerate(tab.rows, start=1):
             for j, s in enumerate(row, start=1):
-                idx = s + j - i
-                assert idx >= 1, "column strictness bounds the u index below"
-                term = term * (Polynomial.variable("x", s) - Polynomial.variable("u", idx))
+                term = term * factor(s, s + j - i)
         total = total + term
-    result = DoubleSchur(lam, k, total)
+    return total
+
+
+def double_schur(lam, k: int) -> DoubleSchur:
+    """Sum over semistandard tableaux of prod (x_{S(i,j)} - u_{S(i,j)+j-i})."""
+    lam = as_partition(lam)
+    key = (lam.parts, k)
+    hit = _CACHE.get(key)
+    if hit is not None:
+        return hit
+    result = DoubleSchur(lam, k, _tableau_sum(lam, k, lambda s, a: x(s) - u(a)))
     _CACHE[key] = result
     return result
 
@@ -66,8 +75,9 @@ def double_schur(lam, k: int) -> DoubleSchur:
 def restrict_schur(lam, mu, shape: GrassmannianShape) -> Polynomial:
     """Value of the double Schur polynomial for lam at the fixed point of mu.
 
-    Substitutes x_j -> -t_{i_j} for the pivot subset of mu and
-    u_i -> -t_{n+1-i}.  Nonzero only when mu contains lam.
+    The tableau sum with each box factor x_s - u_a evaluated at x_s = -t_{i_s}
+    (i the pivot subset of mu) and u_a = -t_{n+1-a}, i.e. t_{n+1-a} - t_{i_s}.
+    Nonzero only when mu contains lam; at other points the terms cancel in the sum.
     """
     lam = as_partition(lam)
     mu = as_partition(mu)
@@ -75,25 +85,10 @@ def restrict_schur(lam, mu, shape: GrassmannianShape) -> Polynomial:
         raise DoesNotFitBox(f"{lam} does not fit in {shape.k} x {shape.box_width}")
     if not mu.fits(shape):
         raise DoesNotFitBox(f"{mu} does not fit in {shape.k} x {shape.box_width}")
-    ds = double_schur(lam, shape.k)
     pivots = partition_to_subset(mu, shape).elements
-    mapping = {}
-    for family, idx in ds.value.variables():
-        if family == "x":
-            mapping[(family, idx)] = -Polynomial.variable("t", pivots[idx - 1])
-        elif family == "u":
-            assert idx <= shape.n - 1, "u indices stay below n inside the box"
-            mapping[(family, idx)] = -Polynomial.variable("t", shape.n + 1 - idx)
-    return ds.value.substitute(mapping)
+    return _tableau_sum(lam, shape.k, lambda s, a: t(shape.n + 1 - a) - t(pivots[s - 1]))
 
 
 def ordinary_schur(lam, k: int) -> Polynomial:
-    """The double Schur polynomial with every u variable set to zero."""
-    ds = double_schur(lam, k)
-    mapping = {}
-    for family, idx in ds.value.variables():
-        if family == "u":
-            mapping[(family, idx)] = 0
-        else:
-            mapping[(family, idx)] = Polynomial.variable(family, idx)
-    return ds.value.substitute(mapping)
+    """The double Schur polynomial at u = 0: the tableau sum of prod x_s."""
+    return _tableau_sum(as_partition(lam), k, lambda s, a: x(s))

@@ -307,10 +307,6 @@ class Polynomial:
                     del out[m]
         return Polynomial._make(out)
 
-    def _leading(self):
-        mono = max(self._terms, key=_mono_key)
-        return mono, self._terms[mono]
-
     def divide_with_remainder(self, divisor: "Polynomial"):
         """Single-divisor division: returns (q, r) with self = q*divisor + r.
 
@@ -427,6 +423,8 @@ class Polynomial:
                 break
             if not saw_factor:
                 raise ParseError("empty term")
+            if i < n and tokens[i] not in (("op", "+"), ("op", "-")):
+                raise ParseError("terms must be joined by '+' or '-'")
             nc = out.get(mono, 0) + coeff
             if nc:
                 out[mono] = nc
@@ -448,7 +446,10 @@ def _tokenize_poly(text: str):
                 raise ParseError(f"bad polynomial text at {text[pos:pos+12]!r}")
             break
         if m.group("var"):
-            tokens.append(("var", (_RANK[m.group("var")], int(m.group("idx")))))
+            idx = int(m.group("idx"))
+            if idx < 1:
+                raise ParseError(f"variable index must be >= 1 in {m.group().strip()!r}")
+            tokens.append(("var", (_RANK[m.group("var")], idx)))
         elif m.group("int"):
             tokens.append(("int", int(m.group("int"))))
         else:

@@ -1,13 +1,16 @@
 """Independent oracles the tests check the engine against.
 
 Nothing here imports the engine's Schubert machinery: the LR counter is a
-direct backtracking enumeration of skew tableaux, and the bialternant
-Schur polynomial goes through sympy.
+direct backtracking enumeration of skew tableaux, the bialternant Schur
+polynomial goes through sympy, and the fixed-point restriction substitutes
+into an expanded polynomial with the generic arithmetic of `exactalg`.
 """
 
 from __future__ import annotations
 
 import sympy
+
+from eqschub.exactalg import t
 
 
 def lr_coefficient(lam, mu, nu) -> int:
@@ -103,3 +106,16 @@ def poly_to_sympy(p):
             term *= sympy.Symbol(f"{families[rank]}{idx}") ** e
         total += term
     return total
+
+
+def restrict_by_substitution(double_schur_value, pivots, n: int):
+    """Restriction of a double Schur polynomial to the fixed point with the
+    given pivot subset of Gr(k, n): expand first, then substitute
+    x_s -> -t_{i_s} and u_a -> -t_{n+1-a}."""
+    mapping = {}
+    for family, idx in double_schur_value.variables():
+        if family == "x":
+            mapping[(family, idx)] = -t(pivots[idx - 1])
+        else:
+            mapping[(family, idx)] = -t(n + 1 - idx)
+    return double_schur_value.substitute(mapping)

@@ -169,7 +169,9 @@ def test_missing_class_file(capsys):
     [1, 2],
     {"n": 4, "k": 2, "restrictions": []},
     {"n": 4, "k": 2, "restrictions": {"{1,2}": 5}},
-], ids=["missing-key", "top-level-list", "restrictions-list", "non-string-value"])
+    {"n": 4, "k": 2, "restrictions": {"{1,2}": "t1 t2"}},
+], ids=["missing-key", "top-level-list", "restrictions-list", "non-string-value",
+        "juxtaposed-terms"])
 def test_malformed_class_json(tmp_path, capsys, payload):
     path = tmp_path / "class.json"
     path.write_text(json.dumps(payload))

@@ -4,7 +4,7 @@ from eqschub.dschur import TooManyRows, double_schur, ordinary_schur, restrict_s
 from eqschub.exactalg import Polynomial, t, u, x
 from eqschub.ytcomb import DoesNotFitBox, GrassmannianShape
 
-from oracles import poly_to_sympy, schur_bialternant
+from oracles import poly_to_sympy, restrict_by_substitution, schur_bialternant
 
 
 def _eight_tableau_products() -> Polynomial:
@@ -44,6 +44,8 @@ def test_double_schur_contains_first_tableau_term():
 def test_too_many_rows():
     with pytest.raises(TooManyRows):
         double_schur((1, 1, 1), 2)
+    with pytest.raises(TooManyRows):
+        ordinary_schur((1, 1, 1), 2)
 
 
 def test_double_schur_memo_returns_same_object():
@@ -84,6 +86,23 @@ def test_restrict_schur_box_checks():
         restrict_schur((2,), (1,), GrassmannianShape(2, 1))
     with pytest.raises(DoesNotFitBox):
         restrict_schur((1,), (2,), GrassmannianShape(2, 1))
+
+
+def test_restrict_schur_matches_substitution_oracle():
+    from eqschub.ytcomb import subset_to_partition
+
+    pairs = 0
+    for n in range(2, 7):
+        for k in range(1, n):
+            shape = GrassmannianShape(n, k)
+            for lam in shape.partitions():
+                expanded = double_schur(lam, k).value
+                for J in shape.subsets():
+                    mu = subset_to_partition(J, shape)
+                    oracle = restrict_by_substitution(expanded, J.elements, n)
+                    assert restrict_schur(lam, mu, shape) == oracle, (n, k, lam, mu)
+                    pairs += 1
+    assert pairs == 1262
 
 
 def test_restrict_schur_diagonal_small():

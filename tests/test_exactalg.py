@@ -256,6 +256,9 @@ def test_parse_errors():
         Polynomial.parse("z1")
     with pytest.raises(ParseError):
         Polynomial.parse("")
+    for text in ("t1 t2", "3 4", "t1^", "t0", "x1 + u0"):
+        with pytest.raises(ParseError):
+            Polynomial.parse(text)
 
 
 # ----------------------------------------------------------------- properties
