@@ -3,14 +3,24 @@
 Nothing here imports the engine's Schubert machinery: the LR counter is a
 direct backtracking enumeration of skew tableaux, the bialternant Schur
 polynomial goes through sympy, and the fixed-point restriction substitutes
-into an expanded polynomial with the generic arithmetic of `exactalg`.
+into an expanded polynomial with the generic arithmetic of `exactalg`.  The
+moment-graph test and the integral take the generic routes too: heap
+division by each edge weight, and one rational sum over the fixed points.
 """
 
 from __future__ import annotations
 
 import sympy
 
-from eqschub.exactalg import t
+from eqschub.exactalg import (
+    FactoredRational,
+    NotDivisible,
+    ratf_sum,
+    ratf_to_polynomial,
+    t,
+)
+from eqschub.gkmgrass import GkmCheckResult, GkmViolation, gkm_graph
+from eqschub.ytcomb import tangent_weights
 
 
 def lr_coefficient(lam, mu, nu) -> int:
@@ -119,3 +129,25 @@ def restrict_by_substitution(double_schur_value, pivots, n: int):
         else:
             mapping[(family, idx)] = -t(n + 1 - idx)
     return double_schur_value.substitute(mapping)
+
+
+def gkm_check_by_division(c) -> GkmCheckResult:
+    """Moment-graph test by heap division of each edge's restriction
+    difference by the edge weight."""
+    violations = []
+    for I, J, weight in gkm_graph(c.shape).edges:
+        diff = c.restriction(I) - c.restriction(J)
+        if not diff:
+            continue
+        try:
+            diff.exact_divide(weight.core().to_polynomial())
+        except NotDivisible:
+            violations.append(GkmViolation(I, J, weight, diff))
+    return GkmCheckResult(not violations, tuple(violations))
+
+
+def integrate_by_rational_sum(c):
+    """Sum of restriction / tangent-weight product over the fixed points, as
+    one rational function over the common denominator, which must clear."""
+    pieces = [FactoredRational(c.restriction(I), tangent_weights(I, c.shape)) for I in c.support()]
+    return ratf_to_polynomial(ratf_sum(pieces))

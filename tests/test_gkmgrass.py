@@ -1,5 +1,9 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from eqschub.cli import parse_class_expr
 from eqschub.exactalg import NotPolynomial, Polynomial, t, y
 from eqschub.gkmgrass import (
     EqClass,
@@ -30,8 +34,12 @@ from eqschub.ytcomb import (
     partition_to_subset,
 )
 
+from oracles import gkm_check_by_division, integrate_by_rational_sum
+
 GR12 = GrassmannianShape(2, 1)
 GR24 = GrassmannianShape(4, 2)
+GR25 = GrassmannianShape(5, 2)
+GR36 = GrassmannianShape(6, 3)
 
 
 # ------------------------------------------------------------------ EqClass
@@ -267,6 +275,116 @@ def test_gkm_check_results():
     violation = result.violations[0]
     assert violation.difference == 1
     assert violation.weight.to_polynomial() == t(2) - t(1)
+
+
+def _assert_matches_division_oracle(c):
+    # equal violations: the same edges in the same order, weights and differences
+    assert gkm_check(c) == gkm_check_by_division(c)
+
+
+def test_gkm_check_matches_division_oracle_on_gkm_suite():
+    for shape in (GR24, GR36):
+        lams = shape.partitions()
+        for i, lam in enumerate(lams):
+            _assert_matches_division_oracle(schubert_class(lam, shape))
+            for mu in lams[i:]:
+                _assert_matches_division_oracle(schubert_class(lam, shape) * schubert_class(mu, shape))
+
+
+def _random_t_poly(rng, n, max_degree):
+    value = Polynomial.zero()
+    while not value:
+        for _ in range(rng.randint(1, 3)):
+            term = Polynomial.integer(rng.choice((-3, -2, -1, 1, 2, 5)))
+            for _ in range(rng.randint(0, max_degree)):
+                term = term * t(rng.randint(1, n))
+            value = value + term
+    return value
+
+
+def test_gkm_check_matches_division_oracle_on_perturbed_classes():
+    rng = random.Random(20261018)
+    for shape in (GR24, GR25, GR36):
+        lams, subsets = shape.partitions(), shape.subsets()
+        for _ in range(12):
+            base = schubert_class(rng.choice(lams), shape) * schubert_class(rng.choice(lams), shape)
+            value = _random_t_poly(rng, shape.n, 3)
+            if rng.random() < 0.5:  # a multiple of t_j - t_i passes the edges of that weight
+                i, j = rng.sample(range(1, shape.n + 1), 2)
+                value = value * (t(j) - t(i))
+            perturbed = base + EqClass(shape, {rng.choice(subsets): value})
+            assert not gkm_check(perturbed).ok
+            _assert_matches_division_oracle(perturbed)
+
+
+def _sigma_products(shape):
+    """Every (lam, mu, e), lam <= mu in list order, with sigma_lam * sigma_mu *
+    sigma_1^e of degree at most dim."""
+    lams = shape.partitions()
+    return [
+        (lam, mu, e)
+        for i, lam in enumerate(lams)
+        for mu in lams[i:]
+        for e in range(shape.dimension - lam.weight - mu.weight + 1)
+    ]
+
+
+def test_integrate_matches_rational_sum_oracle():
+    cases = [(GR24, *p) for p in _sigma_products(GR24)] + [(GR25, *p) for p in _sigma_products(GR25)]
+    # Gr(3,6) has 396 such classes and the rational sum takes about 80 s on
+    # all of them, so a fixed sample stands in for the rest.
+    cases += [(GR36, *p) for p in random.Random(7).sample(_sigma_products(GR36), 24)]
+    # degree above dim: the rational sum answers
+    cases += [(GR24, (), (), 5), (GR24, (2, 1), (), 3), (GR25, (1,), (), 7), (GR36, (), (), 10)]
+    for shape, lam, mu, e in cases:
+        c = schubert_class(lam, shape) * schubert_class(mu, shape) * schubert_class((1,), shape) ** e
+        assert integrate(c) == integrate_by_rational_sum(c), (shape, lam, mu, e)
+
+
+def test_integrate_matches_oracle_on_cli_expressions():
+    for n, k, text in ((5, 2, "(s1 + s2)^3 - s2,1*s1"), (4, 2, "-(s1 - 2)^2*s1,1 + 3")):
+        c = parse_class_expr(text, GrassmannianShape(n, k))
+        assert integrate(c) == integrate_by_rational_sum(c), text
+
+
+def test_integrate_perturbed_top_degree_class_keeps_message():
+    for shape, site in ((GR24, (1, 3)), (GR25, (2, 5)), (GR36, (1, 4, 6))):
+        top = schubert_class((1,), shape) ** shape.dimension
+        bad = top + EqClass(shape, {site: t(1) ** shape.dimension})
+        with pytest.raises(NotPolynomial) as expected:
+            integrate_by_rational_sum(bad)
+        with pytest.raises(NotPolynomial) as got:
+            integrate(bad)
+        assert str(got.value) == str(expected.value)
+
+
+def test_integrate_sigma1_power_on_gr37():
+    # standard tableaux of the 3 x 4 box: 12! / (6*5*4*3 * 5*4*3*2 * 4*3*2*1)
+    shape = GrassmannianShape(7, 3)
+    assert integrate(schubert_class((1,), shape) ** 12) == 462
+
+
+@st.composite
+def _schubert_combinations(draw, shape):
+    lams = shape.partitions()
+    total = EqClass(shape, {})
+    for _ in range(draw(st.integers(1, 3))):
+        term = schubert_class(draw(st.sampled_from(lams)), shape) * draw(st.integers(-4, 4))
+        if draw(st.booleans()):
+            term = term * schubert_class(draw(st.sampled_from(lams)), shape)
+        total = total + term
+    return total
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_schubert_combinations_pass_gkm_and_integrate_linearly(data):
+    shape = data.draw(st.sampled_from((GR24, GR25)))
+    a, b = data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5))
+    X = data.draw(_schubert_combinations(shape))
+    Y = data.draw(_schubert_combinations(shape))
+    assert gkm_check(X).ok and gkm_check(Y).ok
+    assert integrate(X * a + Y * b) == integrate(X) * a + integrate(Y) * b
 
 
 # ----------------------------------------------------------- basis expansion
