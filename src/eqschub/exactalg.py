@@ -3,20 +3,21 @@
 Three value types live here: multivariate polynomials with arbitrary
 precision integer coefficients over the named variable families t, x, u, y;
 linear forms in the t variables; and rational functions whose denominators
-are kept as multisets of linear forms and are never expanded.  All values
+are kept as multisets of weights t_a - t_b and are never expanded.  The only
+division is by such a weight.  All values
 are immutable and every operation is a pure function, so the whole module
 is safe for unrestricted concurrent use.
 """
 
 from __future__ import annotations
 
-import heapq
 import re
 from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 FAMILIES = ("t", "x", "u", "y")
 _RANK = {name: rank for rank, name in enumerate(FAMILIES)}
+_T = _RANK["t"]
 
 # A monomial is a tuple of ((rank, index), exponent) pairs with positive
 # exponents, sorted by descending variable.  With that layout the pair
@@ -36,7 +37,7 @@ class ParseError(EqschubError):
 
 
 class NotDivisible(EqschubError):
-    """Multivariate division left a nonzero remainder."""
+    """Division by a weight left a nonzero remainder."""
 
     def __init__(self, remainder: "Polynomial", quotient: "Polynomial"):
         super().__init__("exact division failed")
@@ -92,37 +93,6 @@ def _mono_mul(a, b):
     out.extend(a[i:])
     out.extend(b[j:])
     return tuple(out)
-
-
-def _mono_div(a, b):
-    """a / b as monomials, or None when b does not divide a."""
-    out = []
-    i = 0
-    la = len(a)
-    for vb, eb in b:
-        while i < la and a[i][0] > vb:
-            out.append(a[i])
-            i += 1
-        if i >= la or a[i][0] != vb or a[i][1] < eb:
-            return None
-        ea = a[i][1]
-        if ea > eb:
-            out.append((vb, ea - eb))
-        i += 1
-    out.extend(a[i:])
-    return tuple(out)
-
-
-class _MaxKey:
-    """Inverts comparison so heapq pops the largest monomial first."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other):
-        return other.key < self.key
 
 
 class Polynomial:
@@ -307,53 +277,61 @@ class Polynomial:
                     del out[m]
         return Polynomial._make(out)
 
-    def divide_with_remainder(self, divisor: "Polynomial"):
-        """Single-divisor division: returns (q, r) with self = q*divisor + r.
+    def divide_with_remainder(self, divisor: PolyLike):
+        """Division by a weight: returns (q, r) with self = q*divisor + r.
 
-        Term order is graded lexicographic; a term is moved to the remainder
-        when the divisor's leading term does not divide it over Z.
+        The divisor must be s*(t_a - t_b) with a > b and s = +-1; zero raises
+        ZeroDivisionError and any other divisor ValueError.  The remainder is
+        self with t_a set to t_b, so it is zero exactly when the weight
+        divides self.  The quotient comes from synthetic division in t_a:
+        writing self = sum_e F_e t_a^e, its coefficient of t_a^(e-1) is
+        sum_{e' >= e} F_e' t_b^(e'-e).  These are the unique q and r with r
+        free of t_a, the result of graded-lex division by the leading term t_a.
         """
-        divisor = _coerce_strict(divisor)
-        if not divisor:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self._terms:
-            return Polynomial.zero(), Polynomial.zero()
-        div_items = sorted(divisor._terms.items(), key=lambda kv: _mono_key(kv[0]), reverse=True)
-        lead_mono, lead_coeff = div_items[0]
-        tail = div_items[1:]
-        work = dict(self._terms)
-        heap = [_MaxKey(_mono_key(m)) for m in work]
-        heapq.heapify(heap)
+        a, b, sign = _weight_indices(divisor)
+        ta, tb = (_T, a), (_T, b)
+        levels: dict = {}
+        for mono, coeff in self._terms.items():
+            # Variables are sorted descending: hi > t_a > mid > t_b > lo.
+            size = len(mono)
+            i = 0
+            while i < size and mono[i][0] > ta:
+                i += 1
+            hi = mono[:i]
+            e = 0
+            if i < size and mono[i][0] == ta:
+                e = mono[i][1]
+                i += 1
+            j = i
+            while j < size and mono[j][0] > tb:
+                j += 1
+            mid = mono[i:j]
+            g = 0
+            if j < size and mono[j][0] == tb:
+                g = mono[j][1]
+                j += 1
+            levels.setdefault(e, []).append(((hi, mid, mono[j:], e + g), coeff))
+        # merged holds sum_{e' >= e} F_e' with t_a -> t_b, keyed by the rest of
+        # the monomial and the combined exponent d of t_a and t_b.
+        merged: dict = {}
         quotient: dict = {}
-        remainder: dict = {}
-        while heap:
-            m = heapq.heappop(heap).key[1]
-            c = work.pop(m, 0)
-            if not c:  # stale heap entry
-                continue
-            qm = _mono_div(m, lead_mono)
-            if qm is None:
-                remainder[m] = c
-                continue
-            qc, rem = divmod(c, lead_coeff)
-            if rem:
-                remainder[m] = c
-                continue
-            quotient[qm] = qc
-            for dm, dc in tail:
-                mm = _mono_mul(qm, dm)
-                prev = work.get(mm)
-                if prev is None:
-                    delta = -qc * dc
-                    if delta:
-                        work[mm] = delta
-                        heapq.heappush(heap, _MaxKey(_mono_key(mm)))
+        for e in range(max(levels, default=0), -1, -1):
+            for key, coeff in levels.get(e, ()):
+                nc = merged.get(key, 0) + coeff
+                if nc:
+                    merged[key] = nc
                 else:
-                    nv = prev - qc * dc
-                    if nv:
-                        work[mm] = nv
-                    else:
-                        del work[mm]
+                    del merged[key]
+            if not e:
+                break
+            ta_part = ((ta, e - 1),) if e > 1 else ()
+            for (hi, mid, lo, d), coeff in merged.items():
+                tb_part = ((tb, d - e),) if d > e else ()
+                quotient[hi + ta_part + mid + tb_part + lo] = sign * coeff
+        remainder = {
+            hi + mid + (((tb, d),) if d else ()) + lo: coeff
+            for (hi, mid, lo, d), coeff in merged.items()
+        }
         return Polynomial._make(quotient), Polynomial._make(remainder)
 
     def exact_divide(self, divisor: PolyLike) -> "Polynomial":
@@ -485,6 +463,44 @@ def _coerce_strict(value) -> Polynomial:
     return p
 
 
+def _weight_indices(divisor) -> tuple[int, int, int]:
+    """(a, b, s) for a divisor s*(t_a - t_b) with a > b and s = +-1."""
+    divisor = _coerce_strict(divisor)
+    if not divisor:
+        raise ZeroDivisionError("division by the zero polynomial")
+    terms = sorted(divisor._terms.items(), reverse=True)
+    if len(terms) == 2:
+        (ma, ca), (mb, cb) = terms
+        if (
+            ca in (1, -1)
+            and cb == -ca
+            and len(ma) == len(mb) == 1
+            and ma[0][1] == mb[0][1] == 1
+            and ma[0][0][0] == mb[0][0][0] == _T
+        ):
+            return ma[0][0][1], mb[0][0][1], ca
+    raise ValueError(f"divisor must be a weight t_a - t_b, got {divisor}")
+
+
+def _agree_at_diagonal(a: Polynomial, b: Polynomial, i: int, j: int) -> bool:
+    """Whether a - b vanishes under t_j -> t_i: each monomial has its t_i and
+    t_j exponents merged, and the coefficients of merged monomials add up."""
+    ti, tj = (_T, i), (_T, j)
+    merged: dict = {}
+    for poly, sign in ((a, 1), (b, -1)):
+        for mono, coeff in poly.items():
+            e = 0
+            rest = []
+            for v, ev in mono:
+                if v == ti or v == tj:
+                    e += ev
+                else:
+                    rest.append((v, ev))
+            key = (tuple(rest), e)
+            merged[key] = merged.get(key, 0) + sign * coeff
+    return not any(merged.values())
+
+
 def t(i: int) -> Polynomial:
     return Polynomial.variable("t", i)
 
@@ -539,7 +555,7 @@ class LinearForm:
         return LinearForm(dict(self.coeffs), 1)
 
     def to_polynomial(self) -> Polynomial:
-        terms = {(((_RANK["t"], i), 1),): self.sign * c for i, c in self.coeffs}
+        terms = {(((_T, i), 1),): self.sign * c for i, c in self.coeffs}
         return Polynomial._make(terms)
 
     def __neg__(self) -> "LinearForm":
@@ -562,12 +578,12 @@ class LinearForm:
 
 @lru_cache(maxsize=None)
 def _core_poly(coeffs: tuple) -> Polynomial:
-    terms = {(((_RANK["t"], i), 1),): c for i, c in coeffs}
+    terms = {(((_T, i), 1),): c for i, c in coeffs}
     return Polynomial._make(terms)
 
 
 class FactoredRational:
-    """sign * numerator / product of linear-form cores with multiplicities.
+    """sign * numerator / product of weights t_a - t_b with multiplicities.
 
     Denominators are never expanded; equality is decided by
     cross-multiplication rather than by any canonical form.
@@ -581,6 +597,8 @@ class FactoredRational:
             raise ValueError("sign must be +1 or -1")
         denom: dict = {}
         for f in factors:
+            if tuple(c for _, c in f.coeffs) != (1, -1):
+                raise ValueError(f"denominator forms must be weights t_a - t_b, got {f}")
             sign *= f.sign
             denom[f.coeffs] = denom.get(f.coeffs, 0) + 1
         if not num:

@@ -22,12 +22,12 @@ from .exactalg import (
     FactoredRational,
     IndexOutOfRange,
     LinearForm,
-    NotDivisible,
     ParseError,
     Polynomial,
     elementary_symmetric,
     ratf_sum,
     ratf_to_polynomial,
+    _agree_at_diagonal,
     _coerce,
 )
 from .ytcomb import (
@@ -36,8 +36,8 @@ from .ytcomb import (
     PivotSubset,
     as_partition,
     as_subset,
-    bruhat_leq,
     normal_weights,
+    partition_to_subset,
     subset_to_partition,
     tangent_weights,
 )
@@ -48,7 +48,8 @@ class ShapeMismatch(EqschubError):
 
 
 class NotInSpan(EqschubError):
-    """Basis expansion hit a restriction not divisible by its diagonal value."""
+    """Basis expansion hit a restriction not divisible by a normal weight at
+    its point; ``remainder`` is the remainder of that one division."""
 
     def __init__(self, subset: PivotSubset, remainder: Polynomial):
         super().__init__(f"division failed at {subset}")
@@ -202,22 +203,16 @@ def constant_class(shape: GrassmannianShape, value) -> EqClass:
     return EqClass(shape, {I: value for I in shape.subsets()})
 
 
-_EULER_CACHE: dict = {}
 _SCHUBERT_CACHE: dict = {}
 _GRAPH_CACHE: dict = {}
 
 
 def euler_class(I, shape: GrassmannianShape) -> Polynomial:
-    """Product of the normal weights at the fixed point of I."""
-    I = as_subset(I)
-    key = (shape.n, shape.k, I.elements)
-    hit = _EULER_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """Product of the normal weights at the fixed point of I: the value there
+    of the Schubert class whose pivot is I."""
     prod = Polynomial.one()
     for w in normal_weights(I, shape):
         prod = prod * w.to_polynomial()
-    _EULER_CACHE[key] = prod
     return prod
 
 
@@ -351,28 +346,6 @@ def gkm_check(c: EqClass) -> GkmCheckResult:
     return GkmCheckResult(not violations, tuple(violations))
 
 
-_T = FAMILIES.index("t")
-
-
-def _agree_at_diagonal(a: Polynomial, b: Polynomial, i: int, j: int) -> bool:
-    """Whether a - b vanishes under t_j -> t_i: each monomial has its t_i and
-    t_j exponents merged, and the coefficients of merged monomials add up."""
-    ti, tj = (_T, i), (_T, j)
-    merged: dict = {}
-    for poly, sign in ((a, 1), (b, -1)):
-        for mono, coeff in poly.items():
-            e = 0
-            rest = []
-            for v, ev in mono:
-                if v == ti or v == tj:
-                    e += ev
-                else:
-                    rest.append((v, ev))
-            key = (tuple(rest), e)
-            merged[key] = merged.get(key, 0) + sign * coeff
-    return not any(merged.values())
-
-
 @dataclass(frozen=True, eq=True)
 class BasisExpansion:
     """Coefficients of a class in the Schubert basis, one per partition."""
@@ -390,44 +363,37 @@ class BasisExpansion:
         return {"coeffs": {str(lam): str(c) for lam, c in self.coeffs.items()}}
 
 
-def expand_in_basis(c: EqClass, *, _choose=None) -> BasisExpansion:
-    """Triangular sweep through the support, reading one coefficient per step.
+def expand_in_basis(c: EqClass) -> BasisExpansion:
+    """Triangular sweep through the partitions in weight order.
 
-    At a support point with no nonzero point above it, only that point's own
-    basis class can contribute, so the coefficient is the restriction divided
-    by the diagonal normal-weight product; the scaled class is subtracted and
-    the sweep repeats.  A failed division means the class is not an integral
-    combination of Schubert classes.
+    The basis class of mu vanishes at every point whose partition does not
+    contain mu, so when the sweep reaches lam every smaller partition has
+    been subtracted and only lam's own class is left at lam's point.  Its
+    coefficient is the remaining restriction there divided, one normal
+    weight t_j - t_i at a time, by the diagonal value; the scaled class is
+    subtracted at the points after lam.  A failed division means the class
+    is not a Z[t]-combination of Schubert classes.
     """
     shape = c.shape
-    if _choose is None:
-        _choose = lambda candidates: min(candidates, key=lambda s: s.elements)
     remaining = dict(c.items())
     coeffs: dict = {}
-    rounds = 0
-    bound = len(shape.subsets()) + 1
-    while remaining:
-        support = list(remaining)
-        maximal = [
-            I for I in support
-            if not any(J != I and bruhat_leq(I, J) for J in support)
-        ]
-        I = _choose(maximal)
-        lam = subset_to_partition(I, shape)
-        try:
-            q = remaining[I].exact_divide(euler_class(I, shape))
-        except NotDivisible as err:
-            raise NotInSpan(I, err.remainder) from err
+    for lam in shape.partitions():
+        I = partition_to_subset(lam, shape)
+        q = remaining.pop(I, None)
+        if q is None:
+            continue
+        for w in normal_weights(I, shape):
+            q, r = q.divide_with_remainder(w.to_polynomial())
+            if r:
+                raise NotInSpan(I, r)
         coeffs[lam] = q
         for J, v in schubert_class(lam, shape).items():
-            nv = remaining.get(J, Polynomial.zero()) - q * v
-            if nv:
-                remaining[J] = nv
-            else:
-                remaining.pop(J, None)
-        rounds += 1
-        if rounds > bound:
-            raise AssertionError("expansion failed to terminate")
+            if J != I:
+                nv = remaining.get(J, Polynomial.zero()) - q * v
+                if nv:
+                    remaining[J] = nv
+                else:
+                    remaining.pop(J, None)
     return BasisExpansion(shape, coeffs)
 
 

@@ -75,7 +75,8 @@ def test_exact_divide_basic():
 
 def test_exact_divide_by_one():
     p = 5 * t(1) ** 3 - t(2)
-    assert p.exact_divide(Polynomial.one()) == p
+    with pytest.raises(ValueError):
+        p.exact_divide(Polynomial.one())
 
 
 def test_exact_divide_failure_carries_remainder():
@@ -85,9 +86,10 @@ def test_exact_divide_failure_carries_remainder():
 
 
 def test_exact_divide_integer_coefficients():
-    assert (2 * t(1) + 2 * t(2)).exact_divide(Polynomial.integer(2)) == t(1) + t(2)
-    with pytest.raises(NotDivisible):
-        (2 * t(1) + t(2)).exact_divide(Polynomial.integer(2))
+    # Only weights t_a - t_b divide; every other nonzero divisor is refused.
+    for divisor in (Polynomial.one(), Polynomial.integer(2), t(1), t(1) + t(2)):
+        with pytest.raises(ValueError, match="weight"):
+            (2 * t(1) + 2 * t(2)).exact_divide(divisor)
 
 
 def test_divide_by_zero():
@@ -159,6 +161,14 @@ def test_ratf_to_polynomial_failure():
     r = FactoredRational(1, [LinearForm.weight(2, 1)])
     with pytest.raises(NotPolynomial):
         ratf_to_polynomial(r)
+
+
+def test_ratf_rejects_denominator_that_is_not_a_weight():
+    for form in (LinearForm({1: 1}), LinearForm({1: 1, 2: 1}), LinearForm({1: 2, 2: -2})):
+        with pytest.raises(ValueError, match="weights"):
+            FactoredRational(1, [form])
+    with pytest.raises(ValueError):
+        FactoredRational(t(1), [LinearForm.weight(2, 1), LinearForm({3: 1})])
 
 
 def test_ratf_equality_by_cross_multiplication():
@@ -285,11 +295,29 @@ def test_add_sub_round_trip(a, b):
     assert (a + b) - b == a
 
 
-@given(polys(), polys())
+@st.composite
+def weights(draw):
+    """(w, a) with w = +-(t_a - t_b), a > b, on t1..t3."""
+    b, a = draw(st.sampled_from(((1, 2), (1, 3), (2, 3))))
+    w = t(a) - t(b)
+    return (w if draw(st.booleans()) else -w), a
+
+
+@given(polys(), weights())
 @settings(max_examples=60, deadline=None)
-def test_multiply_divide_round_trip(a, b):
-    if b:
-        assert (a * b).exact_divide(b) == a
+def test_multiply_divide_round_trip(a, weight):
+    w, _ = weight
+    assert (a * w).exact_divide(w) == a
+
+
+@given(polys(max_terms=6), weights())
+@settings(max_examples=80, deadline=None)
+def test_division_certificate(f, weight):
+    w, a = weight
+    q, r = f.divide_with_remainder(w)
+    assert q * w + r == f
+    assert ("t", a) not in r.variables()
+    assert (f * w).divide_with_remainder(w) == (f, 0)
 
 
 @given(polys(), polys())

@@ -427,12 +427,31 @@ def test_expand_recovers_planted_combination():
     }
 
 
-def test_expand_tie_break_independence():
-    lams = GR24.partitions()
-    product = schubert_class(lams[1], GR24) * schubert_class(lams[1], GR24)
-    default = expand_in_basis(product)
-    flipped = expand_in_basis(product, _choose=lambda cs: max(cs, key=lambda s: s.elements))
-    assert default == flipped
+@st.composite
+def _planted_coefficients(draw, shape):
+    """Nonzero Z[t] coefficients, integers or linear forms, on a few partitions."""
+    planted = {}
+    for lam in draw(st.lists(st.sampled_from(shape.partitions()), max_size=4, unique=True)):
+        coeff = Polynomial.integer(draw(st.integers(-4, 4)))
+        if draw(st.booleans()):
+            for i in range(1, shape.n + 1):
+                coeff = coeff + draw(st.integers(-2, 2)) * t(i)
+        if coeff:
+            planted[lam] = coeff
+    return planted
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_expand_round_trip_with_polynomial_coefficients(data):
+    shape = data.draw(st.sampled_from((GR24, GR25)))
+    planted = data.draw(_planted_coefficients(shape))
+    X = EqClass(shape, {})
+    for lam, coeff in planted.items():
+        X = X + schubert_class(lam, shape) * coeff
+    expansion = expand_in_basis(X)
+    assert expansion.coeffs == planted
+    assert expansion.reconstruct() == X
 
 
 def test_expand_not_in_span():
@@ -440,6 +459,18 @@ def test_expand_not_in_span():
     with pytest.raises(NotInSpan) as info:
         expand_in_basis(bad)
     assert info.value.subset == PivotSubset((1,))
+
+
+def test_expand_not_in_span_reports_perturbed_point():
+    X = schubert_class((1,), GR24) * schubert_class((2,), GR24) + schubert_class((1,), GR24) * (t(3) - t(1))
+    for lam in GR24.partitions():
+        if not lam.parts:
+            continue  # the top point has no normal weights, so any value there is in the span
+        point = partition_to_subset(lam, GR24)
+        with pytest.raises(NotInSpan) as info:
+            expand_in_basis(X + EqClass(GR24, {point: 1}))
+        assert info.value.subset == point
+        assert info.value.remainder == 1
 
 
 # -------------------------------------------------------- structure constants
