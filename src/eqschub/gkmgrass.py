@@ -1,11 +1,13 @@
 """The fixed-point model of equivariant cohomology for Gr(k, n).
 
 A class is stored as its tuple of restrictions, one polynomial in the t
-variables per pivot subset.  Schubert classes are built by specializing
-double Schur polynomials; everything else (products, basis expansion,
-structure constants, positivity certificates, integration, the moment
-graph membership test, determinantal classes) works on those restriction
-tuples with exact arithmetic.
+variables per pivot subset.  Schubert and opposite classes are built from
+excited Young diagrams: each restriction is a sum of products of positive
+weights t_j - t_i (i < j), one per box, with no terms that cancel.
+Everything else (products, basis expansion, structure constants,
+positivity certificates, integration, the moment graph membership test,
+determinantal classes) works on those restriction tuples with exact
+arithmetic.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from itertools import permutations
 from math import lcm, prod
 from typing import Mapping
 
-from .dschur import restrict_schur
 from .exactalg import (
     FAMILIES,
     EqschubError,
@@ -27,12 +28,14 @@ from .exactalg import (
     elementary_symmetric,
     ratf_sum,
     ratf_to_polynomial,
+    t,
     _agree_at_diagonal,
     _coerce,
 )
 from .ytcomb import (
     DoesNotFitBox,
     GrassmannianShape,
+    Partition,
     PivotSubset,
     as_partition,
     as_subset,
@@ -171,8 +174,9 @@ class EqClass:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "EqClass":
-        """Inverse of to_json_dict; input of the wrong structure, or a restriction
-        with a variable other than t, raises ParseError."""
+        """Inverse of to_json_dict.  Input of the wrong structure, two keys
+        naming the same subset, or a restriction with a variable other than
+        t_1..t_n raises ParseError."""
         if not isinstance(data, Mapping) or not {"n", "k", "restrictions"} <= data.keys():
             raise ParseError("class JSON must be an object with keys n, k and restrictions")
         n, k, values = data["n"], data["k"], data["restrictions"]
@@ -183,12 +187,18 @@ class EqClass:
         shape = GrassmannianShape(n, k)
         restrictions = {}
         for key, text in values.items():
-            elems = tuple(int(s) for s in key.strip("{}").split(",") if s)
+            subset = PivotSubset(tuple(int(s) for s in key.strip("{}").split(",") if s))
+            if subset in restrictions:
+                raise ParseError(f"class JSON names the subset {subset} twice")
             value = Polynomial.parse(text)
-            others = sorted(f"{family}{idx}" for family, idx in value.variables() if family != "t")
+            variables = value.variables()
+            others = sorted(f"{family}{idx}" for family, idx in variables if family != "t")
             if others:
                 raise ParseError(f"class JSON restriction at {key} is not in Z[t]: {', '.join(others)}")
-            restrictions[PivotSubset(elems)] = value
+            top = max((idx for _, idx in variables), default=0)
+            if top > n:
+                raise ParseError(f"class JSON restriction at {key} mentions t{top} on Gr({k},{n})")
+            restrictions[subset] = value
         return cls(shape, restrictions)
 
     def __str__(self) -> str:
@@ -224,10 +234,54 @@ def tangent_euler(I, shape: GrassmannianShape) -> Polynomial:
     return prod
 
 
+def _excited_sum(lam: Partition, mu: Partition, rows, cols) -> Polynomial:
+    """Sum over the excited Young diagrams of lam inside mu of the product of
+    one weight t_{cols[c-1]} - t_{rows[r-1]} per box (r, c).
+
+    The diagrams are what lam's own diagram becomes under excited moves: a
+    box (r, c) moves to (r+1, c+1) when that box lies in mu and none of
+    (r+1, c), (r, c+1), (r+1, c+1) is in the diagram.  The sum is empty,
+    so zero, when mu does not contain lam.
+    """
+    if not mu.contains(lam):
+        return Polynomial.zero()
+    lengths = mu.parts
+    weight = {
+        (r, c): t(cols[c - 1]) - t(rows[r - 1])
+        for r, width in enumerate(lengths, start=1)
+        for c in range(1, width + 1)
+    }
+    start = frozenset((r, c) for r, width in enumerate(lam.parts, start=1) for c in range(1, width + 1))
+    seen = {start}
+    stack = [start]
+    while stack:
+        diagram = stack.pop()
+        for r, c in diagram:
+            if (
+                r < len(lengths) and c < lengths[r]
+                and (r + 1, c) not in diagram
+                and (r, c + 1) not in diagram
+                and (r + 1, c + 1) not in diagram
+            ):
+                moved = diagram - {(r, c)} | {(r + 1, c + 1)}
+                if moved not in seen:
+                    seen.add(moved)
+                    stack.append(moved)
+    total = Polynomial.zero()
+    for diagram in seen:
+        total = total + prod((weight[box] for box in sorted(diagram)), start=Polynomial.one())
+    return total
+
+
 def schubert_class(lam, shape: GrassmannianShape) -> EqClass:
-    """The class whose value at each fixed point is the double Schur
-    specialization; its diagonal restriction is the product of normal
-    weights and it vanishes at subsets not below its own pivot.
+    """The class whose value at the point of mu is the sum over the excited
+    Young diagrams of lam inside mu (Ikeda-Naruse, Kreiman).
+
+    Box (r, c) of mu carries t_{J_c} - t_{I_r}, where I_r is the r-th pivot
+    of mu in ascending order and J_c the c-th largest non-pivot.  Each
+    weight has J_c > I_r, so every restriction is Graham-positive; it is
+    zero unless mu contains lam, and at lam itself the one diagram is lam
+    and the value is the product of normal weights.
     """
     lam = as_partition(lam)
     if not lam.fits(shape):
@@ -237,7 +291,7 @@ def schubert_class(lam, shape: GrassmannianShape) -> EqClass:
     if hit is not None:
         return hit
     restrictions = {
-        J: restrict_schur(lam, subset_to_partition(J, shape), shape)
+        J: _excited_sum(lam, subset_to_partition(J, shape), J.elements, J.missing(shape.n)[::-1])
         for J in shape.subsets()
     }
     result = EqClass(shape, restrictions)
@@ -248,20 +302,28 @@ def schubert_class(lam, shape: GrassmannianShape) -> EqClass:
 def opposite_schubert_class(lam, shape: GrassmannianShape) -> EqClass:
     """The Poincare-dual basis element for lam.
 
-    Transport of the Schubert class of the rotated box complement under
-    the simultaneous flips i -> n+1-i of pivot entries and t_i -> t_{n+1-i}
-    of values.  The result is supported on subsets above the pivot of lam,
-    its diagonal restriction there is the product of the cell weights, and
+    The same excited sum for the rotated box complement of lam, transported
+    by the flips i -> n+1-i of pivot entries and t_i -> t_{n+1-i} of
+    weights: at the point J the diagrams lie in the partition of J's
+    reflection, and box (r, c) carries t_{J'_c} - t_{J_r}, with J_r the r-th
+    largest pivot of J and J'_c the c-th smallest non-pivot.  The result is
+    supported on subsets above the pivot of lam, its diagonal restriction
+    there is the product of the cell weights, and
     integrate(schubert_class(lam) * opposite_schubert_class(mu)) is the
     Kronecker delta.
     """
     lam = as_partition(lam)
     if not lam.fits(shape):
         raise DoesNotFitBox(f"{lam} does not fit in {shape.k} x {shape.box_width}")
-    base = schubert_class(lam.box_complement(shape), shape)
-    flip = {("t", i): Polynomial.variable("t", shape.n + 1 - i) for i in range(1, shape.n + 1)}
+    complement = lam.box_complement(shape)
     restrictions = {
-        J.reflected(shape.n): v.substitute(flip) for J, v in base.items()
+        J: _excited_sum(
+            complement,
+            subset_to_partition(J.reflected(shape.n), shape),
+            J.elements[::-1],
+            J.missing(shape.n),
+        )
+        for J in shape.subsets()
     }
     return EqClass(shape, restrictions)
 

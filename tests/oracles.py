@@ -3,13 +3,17 @@
 Nothing here imports the engine's Schubert machinery: the LR counter is a
 direct backtracking enumeration of skew tableaux, the bialternant Schur
 polynomial goes through sympy, and the fixed-point restriction substitutes
-into an expanded polynomial with the generic arithmetic of `exactalg`.  The
-moment-graph test divides each edge's difference by its weight and certifies
-the verdict by multiplying back, and the integral takes one rational sum over
-the fixed points.
+into an expanded polynomial with the generic arithmetic of `exactalg`.
+Schubert classes come from the semistandard tableau sum `restrict_schur` at
+every point, and opposite classes from those by reflecting the subsets and
+substituting t_i -> t_{n+1-i}.  The moment-graph test divides each edge's
+difference by its weight and certifies the verdict by multiplying back, and
+the integral takes one rational sum over the fixed points.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import sympy
 
@@ -19,8 +23,9 @@ from eqschub.exactalg import (
     ratf_to_polynomial,
     t,
 )
-from eqschub.gkmgrass import GkmCheckResult, GkmViolation, gkm_graph
-from eqschub.ytcomb import tangent_weights
+from eqschub.dschur import restrict_schur
+from eqschub.gkmgrass import EqClass, GkmCheckResult, GkmViolation, gkm_graph
+from eqschub.ytcomb import GrassmannianShape, as_partition, subset_to_partition, tangent_weights
 
 
 def lr_coefficient(lam, mu, nu) -> int:
@@ -129,6 +134,28 @@ def restrict_by_substitution(double_schur_value, pivots, n: int):
         else:
             mapping[(family, idx)] = -t(n + 1 - idx)
     return double_schur_value.substitute(mapping)
+
+
+def schubert_by_tableau_sum(lam, shape) -> EqClass:
+    """The Schubert class whose restriction at each point mu is the
+    semistandard tableau sum `restrict_schur(lam, mu)`."""
+    return _schubert_by_tableau_sum(as_partition(lam).parts, shape.n, shape.k)
+
+
+@lru_cache(maxsize=None)
+def _schubert_by_tableau_sum(parts, n: int, k: int) -> EqClass:
+    shape = GrassmannianShape(n, k)
+    return EqClass(shape, {J: restrict_schur(parts, subset_to_partition(J, shape), shape)
+                           for J in shape.subsets()})
+
+
+def opposite_by_substitution(lam, shape) -> EqClass:
+    """The opposite class of lam: the tableau-sum class of the rotated box
+    complement, with each subset reflected by i -> n+1-i and each value
+    substituted by t_i -> t_{n+1-i}."""
+    base = schubert_by_tableau_sum(as_partition(lam).box_complement(shape), shape)
+    flip = {("t", i): t(shape.n + 1 - i) for i in range(1, shape.n + 1)}
+    return EqClass(shape, {J.reflected(shape.n): v.substitute(flip) for J, v in base.items()})
 
 
 def gkm_check_by_division(c) -> GkmCheckResult:

@@ -173,8 +173,11 @@ def test_missing_class_file(capsys):
     {"n": 4, "k": 2, "restrictions": {"{1,2}": "x1"}},
     {"n": 4, "k": 2, "restrictions": {"{1,2}": "t1", "{3,4}": "u2 - t3"}},
     {"n": 4, "k": 2, "restrictions": {"{2,3}": "2*y1*t1"}},
+    {"n": 4, "k": 2, "restrictions": {"1,2": "t1", "{1,2}": "t2"}},
+    {"n": 4, "k": 2, "restrictions": {"{1,2}": "t9"}},
 ], ids=["missing-key", "top-level-list", "restrictions-list", "non-string-value",
-        "juxtaposed-terms", "x-variable", "u-variable", "y-variable"])
+        "juxtaposed-terms", "x-variable", "u-variable", "y-variable",
+        "duplicate-subset", "t-index-beyond-n"])
 def test_malformed_class_json(tmp_path, capsys, payload):
     path = tmp_path / "class.json"
     path.write_text(json.dumps(payload))

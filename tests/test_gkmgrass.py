@@ -32,14 +32,21 @@ from eqschub.ytcomb import (
     bruhat_leq,
     cell_weights,
     partition_to_subset,
+    subset_to_partition,
 )
 
-from oracles import gkm_check_by_division, integrate_by_rational_sum
+from oracles import (
+    gkm_check_by_division,
+    integrate_by_rational_sum,
+    opposite_by_substitution,
+    schubert_by_tableau_sum,
+)
 
 GR12 = GrassmannianShape(2, 1)
 GR24 = GrassmannianShape(4, 2)
 GR25 = GrassmannianShape(5, 2)
 GR36 = GrassmannianShape(6, 3)
+UP_TO_N7 = [GrassmannianShape(n, k) for n in range(2, 8) for k in range(1, n)]
 
 
 # ------------------------------------------------------------------ EqClass
@@ -121,6 +128,32 @@ def test_schubert_box_check():
         schubert_class((3,), GR24)
 
 
+def test_schubert_class_matches_tableau_sum_oracle():
+    # Every (lam, mu) on every Gr(k, n) with n <= 7, 4,692 pairs: the excited
+    # Young diagram sum against the semistandard tableau sum, about 6 s.
+    for shape in UP_TO_N7:
+        for lam in shape.partitions():
+            cls = schubert_class(lam, shape)
+            oracle = schubert_by_tableau_sum(lam, shape)
+            for J in shape.subsets():
+                assert cls.restriction(J) == oracle.restriction(J), (shape, lam, J)
+
+
+def test_schubert_restrictions_are_graham_positive():
+    # Every restriction on every Gr(k, n) with n <= 5, and on Gr(2,6), is a
+    # nonzero polynomial with nonnegative coefficients in the y_i where mu
+    # contains lam, and zero elsewhere; about 1 s.
+    for shape in [s for s in UP_TO_N7 if s.n <= 5] + [GrassmannianShape(6, 2)]:
+        for lam in shape.partitions():
+            cls = schubert_class(lam, shape)
+            for J in shape.subsets():
+                value = cls.restriction(J)
+                if subset_to_partition(J, shape).contains(lam):
+                    assert value and positivity_certificate(value, shape.n).ok, (shape, lam, J)
+                else:
+                    assert not value, (shape, lam, J)
+
+
 # --------------------------------------------------------- opposite classes
 
 def test_opposite_full_box_is_fundamental():
@@ -148,6 +181,17 @@ def test_opposite_support_and_diagonal():
                     assert bruhat_leq(I, J), (lam, J)
                 else:
                     assert not bruhat_leq(I, J) or J == I and not diagonal, (lam, J)
+
+
+def test_opposite_class_matches_substitution_oracle():
+    # The same shapes as the Schubert oracle test; the tableau-sum classes
+    # are shared through the oracle's cache.
+    for shape in UP_TO_N7:
+        for lam in shape.partitions():
+            cls = opposite_schubert_class(lam, shape)
+            oracle = opposite_by_substitution(lam, shape)
+            for J in shape.subsets():
+                assert cls.restriction(J) == oracle.restriction(J), (shape, lam, J)
 
 
 def test_duality_pairing_gr12():
