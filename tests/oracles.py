@@ -1,6 +1,6 @@
 """Independent oracles the tests check the engine against.
 
-Nothing here imports the engine's Schubert machinery: the LR counter is a
+Nothing here calls the engine's class construction: the LR counter is a
 direct backtracking enumeration of skew tableaux, the bialternant Schur
 polynomial goes through sympy, and the fixed-point restriction substitutes
 into an expanded polynomial with the generic arithmetic of `exactalg`.

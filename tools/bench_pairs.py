@@ -66,11 +66,11 @@ def compare(base: list[float], change: list[float], better: str) -> dict:
 
 def alternate(index: int, base: Path, change: Path, run) -> tuple:
     """Run both sides, the base first on even indices; returns (base, change)."""
-    if index % 2 == 0:
-        first = run(base)
-        return first, run(change)
-    second = run(change)
-    return run(base), second
+    if index % 2:
+        change_result = run(change)
+        return run(base), change_result
+    base_result = run(base)
+    return base_result, run(change)
 
 
 def run_workload(args, directions: dict) -> dict:
@@ -119,18 +119,18 @@ def run_build(args) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     modes = parser.add_subparsers(dest="mode", required=True)
-    for name in ("workload", "build"):
-        sub = modes.add_parser(name)
+    workload = modes.add_parser("workload", help="paired perfbench/run.py runs")
+    build = modes.add_parser("build", help="paired builds of all Schubert classes")
+    for sub in (workload, build):
         sub.add_argument("base", type=Path)
         sub.add_argument("change", type=Path)
         sub.add_argument("--out", type=Path, required=True)
-    modes.choices["workload"].add_argument("--workload", required=True)
-    modes.choices["workload"].add_argument("--seeds", type=parse_seeds, required=True)
-    modes.choices["workload"].add_argument("--seconds", type=float, default=15.0)
-    modes.choices["build"].add_argument(
-        "--shape", required=True, type=lambda s: tuple(int(v) for v in s.split(",")),
-        help="n,k of the Grassmannian")
-    modes.choices["build"].add_argument("--repeats", type=int, default=1)
+    workload.add_argument("--workload", required=True)
+    workload.add_argument("--seeds", type=parse_seeds, required=True)
+    workload.add_argument("--seconds", type=float, default=15.0)
+    build.add_argument("--shape", required=True, help="n,k of the Grassmannian",
+                       type=lambda s: tuple(int(v) for v in s.split(",")))
+    build.add_argument("--repeats", type=int, default=1)
     args = parser.parse_args(argv)
     args.base, args.change = args.base.resolve(), args.change.resolve()
 
