@@ -25,7 +25,7 @@ from eqschub.exactalg import (
 )
 from eqschub.dschur import restrict_schur
 from eqschub.gkmgrass import EqClass, GkmCheckResult, GkmViolation, gkm_graph
-from eqschub.ytcomb import GrassmannianShape, as_partition, subset_to_partition, tangent_weights
+from eqschub.ytcomb import as_partition, subset_to_partition, tangent_weights
 
 
 def lr_coefficient(lam, mu, nu) -> int:
@@ -136,16 +136,12 @@ def restrict_by_substitution(double_schur_value, pivots, n: int):
     return double_schur_value.substitute(mapping)
 
 
+@lru_cache(maxsize=None)
 def schubert_by_tableau_sum(lam, shape) -> EqClass:
     """The Schubert class whose restriction at each point mu is the
-    semistandard tableau sum `restrict_schur(lam, mu)`."""
-    return _schubert_by_tableau_sum(as_partition(lam).parts, shape.n, shape.k)
-
-
-@lru_cache(maxsize=None)
-def _schubert_by_tableau_sum(parts, n: int, k: int) -> EqClass:
-    shape = GrassmannianShape(n, k)
-    return EqClass(shape, {J: restrict_schur(parts, subset_to_partition(J, shape), shape)
+    semistandard tableau sum `restrict_schur(lam, mu)`; cached, so the
+    opposite-class oracle reuses it."""
+    return EqClass(shape, {J: restrict_schur(lam, subset_to_partition(J, shape), shape)
                            for J in shape.subsets()})
 
 
