@@ -12,8 +12,9 @@ import argparse
 import json
 import re
 import sys
+from math import comb
 
-from .exactalg import EqschubError, ParseError
+from .exactalg import MAX_EXPONENT, MAX_INDEX, EqschubError, ParseError
 from .gkmgrass import (
     EqClass,
     constant_class,
@@ -31,6 +32,11 @@ from .ytcomb import GrassmannianShape, Partition
 
 DOMAIN_ERROR = 1
 VERIFY_FAILURE = 2
+
+# A command accepts Gr(k, n) only with n <= MAX_INDEX, the number of t
+# variables, and at most MAX_FIXED_POINTS fixed points, and refuses any other
+# shape before it builds anything.  The library API has no such bound.
+MAX_FIXED_POINTS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -142,6 +148,8 @@ class _ExprParser:
             kind, exp = self._take()
             if kind != "int":
                 raise ParseError("exponent must be an integer literal")
+            if exp > MAX_EXPONENT:
+                raise ParseError(f"exponent {exp} exceeds {MAX_EXPONENT}")
             value = value ** exp
         return value
 
@@ -170,7 +178,15 @@ def parse_class_expr(text: str, shape: GrassmannianShape) -> EqClass:
 # ---------------------------------------------------------------- subcommands
 
 def _shape_from(args) -> GrassmannianShape:
-    return GrassmannianShape(args.n, args.k)
+    shape = GrassmannianShape(args.n, args.k)
+    if shape.n > MAX_INDEX:
+        raise EqschubError(f"Gr({shape.k},{shape.n}) needs t{shape.n}; at most {MAX_INDEX} t variables exist")
+    points = comb(shape.n, shape.k)
+    if points > MAX_FIXED_POINTS:
+        raise EqschubError(
+            f"Gr({shape.k},{shape.n}) has {points} fixed points; at most {MAX_FIXED_POINTS} are accepted"
+        )
+    return shape
 
 
 def _cmd_schur(args) -> int:
@@ -181,7 +197,7 @@ def _cmd_schur(args) -> int:
         if args.n is None:
             raise EqschubError("--restrict-to needs --n")
         mu = _parse_partition(args.restrict_to)
-        poly = restrict_schur(lam, mu, GrassmannianShape(args.n, args.k))
+        poly = restrict_schur(lam, mu, _shape_from(args))
     elif args.ordinary:
         poly = ordinary_schur(lam, args.k)
     else:

@@ -4,7 +4,9 @@ Three value types live here: multivariate polynomials with arbitrary
 precision integer coefficients over the named variable families t, x, u, y;
 linear forms in the t variables; and rational functions whose denominators
 are kept as multisets of weights t_a - t_b and are never expanded.  The only
-division is by such a weight.  All values
+division is by such a weight.  A monomial is one int with a 16-bit exponent
+field per variable, so indices go up to MAX_INDEX = 32 and exponents up to
+MAX_EXPONENT = 65535; past either, MonomialOverflow is raised.  All values
 are immutable and every operation is a pure function, so the whole module
 is safe for unrestricted concurrent use.
 """
@@ -12,18 +14,38 @@ is safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+import struct
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, Mapping, Union
 
 FAMILIES = ("t", "x", "u", "y")
 _RANK = {name: rank for rank, name in enumerate(FAMILIES)}
 _T = _RANK["t"]
 
-# A monomial is a tuple of ((rank, index), exponent) pairs with positive
-# exponents, sorted by descending variable.  With that layout the pair
-# (total degree, monomial) compares as graded lexicographic order for
-# t1 < t2 < ... < x1 < ... < u1 < ... < y1 < ...
-_ONE = ()
+# A monomial is one int holding a 16-bit exponent field per variable: the
+# variable with index i in the family of rank r owns the field at slot
+# r*32 + i - 1, bits 16*slot upwards.  A product of monomials is the sum of
+# their ints.  Higher variables sit in higher fields, so comparing ints is
+# lexicographic order for t1 < t2 < ... < x1 < ... < u1 < ... < y1 < ...,
+# and the pair (total degree, monomial) compares as graded lexicographic
+# order.  Exponents are at most MAX_EXPONENT and indices at most MAX_INDEX;
+# anything beyond raises MonomialOverflow instead of carrying into the next
+# field.
+_BITS = 16
+MAX_INDEX = 32
+MAX_EXPONENT = (1 << _BITS) - 1
+_SLOTS = len(FAMILIES) * MAX_INDEX
+_T_FIELDS = (1 << (MAX_INDEX * _BITS)) - 1
+# Bit 15 of every field: two monomials whose fields all have it clear have a
+# product whose fields fit.
+_HIGH = sum(1 << (_BITS * slot + _BITS - 1) for slot in range(_SLOTS))
+# A position above every field, where a merged exponent can grow unbounded.
+_WIDE = _SLOTS * _BITS
+_NAMES = tuple(f"{family}{index}" for family in FAMILIES for index in range(1, MAX_INDEX + 1))
+# _UNPACK[n] reads the n lowest fields from a little-endian byte string.
+_UNPACK = tuple(struct.Struct(f"<{n}H").unpack for n in range(_SLOTS + 1))
+_ONE = 0
 
 PolyLike = Union["Polynomial", int]
 
@@ -61,38 +83,71 @@ class IndexOutOfRange(EqschubError):
     """An index argument fell outside its allowed range."""
 
 
-def _mono_degree(mono) -> int:
-    return sum(e for _, e in mono)
+class MonomialOverflow(EqschubError):
+    """A variable index above MAX_INDEX, or an exponent above MAX_EXPONENT."""
 
 
-def _mono_key(mono):
-    return (_mono_degree(mono), mono)
+def _shift(rank: int, index: int) -> int:
+    """Bit position of the exponent field of a variable."""
+    if index > MAX_INDEX:
+        raise MonomialOverflow(f"variable {FAMILIES[rank]}{index}: indices go up to {MAX_INDEX}")
+    return (rank * MAX_INDEX + index - 1) * _BITS
 
 
-def _mono_mul(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va > vb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+def _exponents(mono: int) -> tuple[int, ...]:
+    """The exponent field of every slot from 0 up to the highest nonzero one;
+    slot r*32 + i - 1 holds variable i of the family of rank r."""
+    size = (mono.bit_length() + _BITS - 1) // _BITS
+    return _UNPACK[size](mono.to_bytes(2 * size, "little"))
+
+
+def _decode(mono: int) -> list[tuple[int, int]]:
+    """The (slot, exponent) pairs of a monomial's nonzero fields, in
+    ascending variable order; _NAMES[slot] names the variable."""
+    return [(slot, e) for slot, e in enumerate(_exponents(mono)) if e]
+
+
+def _variable(slot: int) -> tuple[str, int]:
+    return FAMILIES[slot // MAX_INDEX], slot % MAX_INDEX + 1
+
+
+def _mono_degree(mono: int) -> int:
+    return sum(_exponents(mono))
+
+
+def _high(*term_maps: dict) -> int:
+    """Bit 15 of each field in which some monomial of the maps has an
+    exponent of 2^15 or more; while it is clear, a sum of two exponents of
+    that field fits."""
+    return reduce(or_, (reduce(or_, terms, 0) for terms in term_maps)) & _HIGH
+
+
+def _check_product(a: dict, b: dict) -> None:
+    """Raise MonomialOverflow if some product of a monomial of a with one of
+    b has an exponent above MAX_EXPONENT."""
+    for slot, _ in _decode(_high(a, b)):
+        shift = slot * _BITS
+        top = max((m >> shift) & MAX_EXPONENT for m in a) + max((m >> shift) & MAX_EXPONENT for m in b)
+        if top > MAX_EXPONENT:
+            raise MonomialOverflow(f"exponent {top} of {_NAMES[slot]} exceeds {MAX_EXPONENT}")
+
+
+def _widen(terms: dict, shift: int) -> dict:
+    """Move the field at shift to _WIDE, above every field, where adding to
+    it cannot carry into another variable."""
+    step = (1 << _WIDE) - (1 << shift)
+    return {m + ((m >> shift) & MAX_EXPONENT) * step: c for m, c in terms.items()}
+
+
+def _narrow(terms: dict, shift: int) -> dict:
+    """Move the exponent at _WIDE back to the field at shift."""
+    out = {}
+    for m, c in terms.items():
+        e = m >> _WIDE
+        if e > MAX_EXPONENT:
+            raise MonomialOverflow(f"exponent {e} exceeds {MAX_EXPONENT}")
+        out[m - (e << _WIDE) + (e << shift)] = c
+    return out
 
 
 class Polynomial:
@@ -135,10 +190,11 @@ class Polynomial:
             raise ValueError(f"unknown variable family {family!r}")
         if index < 1:
             raise ValueError(f"variable index must be >= 1, got {index}")
-        return cls._make({(((_RANK[family], index), 1),): 1})
+        return cls._make({1 << _shift(_RANK[family], index): 1})
 
     def items(self):
-        """Iterate (monomial, coefficient) pairs; internal key format."""
+        """Iterate (monomial, coefficient) pairs; a monomial is a packed int
+        that _decode splits into its variables."""
         return self._terms.items()
 
     def __bool__(self) -> bool:
@@ -191,10 +247,12 @@ class Polynomial:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
+        if a and _high(a, b):
+            _check_product(a, b)
         out: dict = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
-                m = _mono_mul(ma, mb)
+                m = ma + mb
                 nc = out.get(m, 0) + ca * cb
                 if nc:
                     out[m] = nc
@@ -238,11 +296,8 @@ class Polynomial:
 
     def variables(self) -> set:
         """The set of (family, index) pairs occurring in this polynomial."""
-        seen = set()
-        for m in self._terms:
-            for (rank, idx), _ in m:
-                seen.add((FAMILIES[rank], idx))
-        return seen
+        # A field of the OR of all monomials is nonzero iff its variable occurs.
+        return {_variable(slot) for slot, _ in _decode(reduce(or_, self._terms, 0))}
 
     def substitute(self, mapping: Mapping[tuple, PolyLike]) -> "Polynomial":
         """Apply the ring homomorphism sending each (family, index) variable
@@ -253,17 +308,18 @@ class Polynomial:
         for (family, index), img in mapping.items():
             if family not in _RANK:
                 raise ValueError(f"unknown variable family {family!r}")
-            images[(_RANK[family], index)] = _coerce_strict(img)
+            img = _coerce_strict(img)
+            if 1 <= index <= MAX_INDEX:  # no monomial holds any other index
+                images[_RANK[family] * MAX_INDEX + index - 1] = img
         pow_cache: dict = {}
         out: dict = {}
         for mono, coeff in self._terms.items():
             part = Polynomial.one()
-            for v, e in mono:
-                img = images.get(v)
+            for slot, e in reversed(_decode(mono)):
+                img = images.get(slot)
                 if img is None:
-                    rank, idx = v
-                    raise UnmappedVariable(f"no image for {FAMILIES[rank]}{idx}")
-                key = (v, e)
+                    raise UnmappedVariable(f"no image for {_NAMES[slot]}")
+                key = (slot, e)
                 pw = pow_cache.get(key)
                 if pw is None:
                     pw = img ** e
@@ -287,32 +343,22 @@ class Polynomial:
         writing self = sum_e F_e t_a^e, its coefficient of t_a^(e-1) is
         sum_{e' >= e} F_e' t_b^(e'-e).  These are the unique q and r with r
         free of t_a, the result of graded-lex division by the leading term t_a.
+        MonomialOverflow is raised when a t_b exponent of q or r would pass
+        MAX_EXPONENT.
         """
         a, b, sign = _weight_indices(divisor)
-        ta, tb = (_T, a), (_T, b)
+        sa, sb = _shift(_T, a), _shift(_T, b)
+        terms, sd = self._terms, sb
+        if _high(terms) & (MAX_EXPONENT << sa | MAX_EXPONENT << sb):
+            terms, sd = _widen(terms, sb), _WIDE
+        # Moving the t_a exponent e onto t_b's field (at sd) gives the key of
+        # a term: the rest of the monomial with the combined exponent d there.
+        move = (1 << sd) - (1 << sa)
         levels: dict = {}
-        for mono, coeff in self._terms.items():
-            # Variables are sorted descending: hi > t_a > mid > t_b > lo.
-            size = len(mono)
-            i = 0
-            while i < size and mono[i][0] > ta:
-                i += 1
-            hi = mono[:i]
-            e = 0
-            if i < size and mono[i][0] == ta:
-                e = mono[i][1]
-                i += 1
-            j = i
-            while j < size and mono[j][0] > tb:
-                j += 1
-            mid = mono[i:j]
-            g = 0
-            if j < size and mono[j][0] == tb:
-                g = mono[j][1]
-                j += 1
-            levels.setdefault(e, []).append(((hi, mid, mono[j:], e + g), coeff))
-        # merged holds sum_{e' >= e} F_e' with t_a -> t_b, keyed by the rest of
-        # the monomial and the combined exponent d of t_a and t_b.
+        for mono, coeff in terms.items():
+            e = (mono >> sa) & MAX_EXPONENT
+            levels.setdefault(e, []).append((mono + e * move, coeff))
+        # merged holds sum_{e' >= e} F_e' with t_a -> t_b.
         merged: dict = {}
         quotient: dict = {}
         for e in range(max(levels, default=0), -1, -1):
@@ -324,15 +370,12 @@ class Polynomial:
                     del merged[key]
             if not e:
                 break
-            ta_part = ((ta, e - 1),) if e > 1 else ()
-            for (hi, mid, lo, d), coeff in merged.items():
-                tb_part = ((tb, d - e),) if d > e else ()
-                quotient[hi + ta_part + mid + tb_part + lo] = sign * coeff
-        remainder = {
-            hi + mid + (((tb, d),) if d else ()) + lo: coeff
-            for (hi, mid, lo, d), coeff in merged.items()
-        }
-        return Polynomial._make(quotient), Polynomial._make(remainder)
+            step = ((e - 1) << sa) - (e << sd)  # t_b^d -> t_a^(e-1) t_b^(d-e)
+            for key, coeff in merged.items():
+                quotient[key + step] = sign * coeff
+        if sd != sb:
+            quotient, merged = _narrow(quotient, sb), _narrow(merged, sb)
+        return Polynomial._make(quotient), Polynomial._make(merged)
 
     def exact_divide(self, divisor: PolyLike) -> "Polynomial":
         """Return q with q * divisor == self, or raise NotDivisible."""
@@ -344,10 +387,14 @@ class Polynomial:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        items = sorted(self._terms.items(), key=lambda kv: _mono_key(kv[0]), reverse=True)
+        rows = []
+        for mono, coeff in self._terms.items():
+            exps = _exponents(mono)
+            rows.append((sum(exps), mono, exps, coeff))
+        rows.sort(reverse=True)  # graded lex; (degree, mono) is unique
         pieces = []
-        for mono, coeff in items:
-            body = _render_term(mono, abs(coeff))
+        for _, _, exps, coeff in rows:
+            body = _render_term(exps, abs(coeff))
             if not pieces:
                 pieces.append(("-" if coeff < 0 else "") + body)
             else:
@@ -388,7 +435,10 @@ class Polynomial:
                         i += 2
                     if exp < 1:
                         raise ParseError("exponents must be positive")
-                    mono = _mono_mul(mono, ((value, exp),))
+                    total = ((mono >> value) & MAX_EXPONENT) + exp
+                    if total > MAX_EXPONENT:
+                        raise MonomialOverflow(f"exponent {total} exceeds {MAX_EXPONENT}")
+                    mono += exp << value
                 else:
                     raise ParseError(f"unexpected token {value!r}")
                 saw_factor = True
@@ -427,7 +477,7 @@ def _tokenize_poly(text: str):
             idx = int(m.group("idx"))
             if idx < 1:
                 raise ParseError(f"variable index must be >= 1 in {m.group().strip()!r}")
-            tokens.append(("var", (_RANK[m.group("var")], idx)))
+            tokens.append(("var", _shift(_RANK[m.group("var")], idx)))
         elif m.group("int"):
             tokens.append(("int", int(m.group("int"))))
         else:
@@ -436,11 +486,8 @@ def _tokenize_poly(text: str):
     return tokens
 
 
-def _render_term(mono, coeff_abs: int) -> str:
-    factors = []
-    for (rank, idx), e in reversed(mono):  # ascending variable order
-        name = f"{FAMILIES[rank]}{idx}"
-        factors.append(name if e == 1 else f"{name}^{e}")
+def _render_term(exps, coeff_abs: int) -> str:
+    factors = [_NAMES[slot] if e == 1 else f"{_NAMES[slot]}^{e}" for slot, e in enumerate(exps) if e]
     if not factors:
         return str(coeff_abs)
     if coeff_abs == 1:
@@ -463,6 +510,14 @@ def _coerce_strict(value) -> Polynomial:
     return p
 
 
+def _t_index(mono: int) -> int:
+    """i when the monomial is t_i, else 0."""
+    if mono & (mono - 1) or not mono & _T_FIELDS:
+        return 0
+    position = mono.bit_length() - 1
+    return 0 if position % _BITS else position // _BITS + 1
+
+
 def _weight_indices(divisor) -> tuple[int, int, int]:
     """(a, b, s) for a divisor s*(t_a - t_b) with a > b and s = +-1."""
     divisor = _coerce_strict(divisor)
@@ -471,33 +526,28 @@ def _weight_indices(divisor) -> tuple[int, int, int]:
     terms = sorted(divisor._terms.items(), reverse=True)
     if len(terms) == 2:
         (ma, ca), (mb, cb) = terms
-        if (
-            ca in (1, -1)
-            and cb == -ca
-            and len(ma) == len(mb) == 1
-            and ma[0][1] == mb[0][1] == 1
-            and ma[0][0][0] == mb[0][0][0] == _T
-        ):
-            return ma[0][0][1], mb[0][0][1], ca
+        a, b = _t_index(ma), _t_index(mb)
+        if ca in (1, -1) and cb == -ca and a and b:
+            return a, b, ca
     raise ValueError(f"divisor must be a weight t_a - t_b, got {divisor}")
 
 
 def _agree_at_diagonal(a: Polynomial, b: Polynomial, i: int, j: int) -> bool:
-    """Whether a - b vanishes under t_j -> t_i: each monomial has its t_i and
-    t_j exponents merged, and the coefficients of merged monomials add up."""
-    ti, tj = (_T, i), (_T, j)
+    """Whether a - b vanishes under t_j -> t_i: each monomial has its t_i
+    exponent moved onto t_j's field, and the coefficients of monomials that
+    meet there add up."""
+    si, sj = _shift(_T, i), _shift(_T, j)
+    ta, tb = a._terms, b._terms
+    if _high(ta, tb) & (MAX_EXPONENT << si | MAX_EXPONENT << sj):
+        ta, tb, sj = _widen(ta, sj), _widen(tb, sj), _WIDE
+    move = (1 << sj) - (1 << si)
     merged: dict = {}
-    for poly, sign in ((a, 1), (b, -1)):
-        for mono, coeff in poly.items():
-            e = 0
-            rest = []
-            for v, ev in mono:
-                if v == ti or v == tj:
-                    e += ev
-                else:
-                    rest.append((v, ev))
-            key = (tuple(rest), e)
-            merged[key] = merged.get(key, 0) + sign * coeff
+    for mono, coeff in ta.items():
+        key = mono + ((mono >> si) & MAX_EXPONENT) * move
+        merged[key] = merged.get(key, 0) + coeff
+    for mono, coeff in tb.items():
+        key = mono + ((mono >> si) & MAX_EXPONENT) * move
+        merged[key] = merged.get(key, 0) - coeff
     return not any(merged.values())
 
 
@@ -555,7 +605,7 @@ class LinearForm:
         return LinearForm(dict(self.coeffs), 1)
 
     def to_polynomial(self) -> Polynomial:
-        terms = {(((_T, i), 1),): self.sign * c for i, c in self.coeffs}
+        terms = {1 << _shift(_T, i): self.sign * c for i, c in self.coeffs}
         return Polynomial._make(terms)
 
     def __neg__(self) -> "LinearForm":
@@ -578,7 +628,7 @@ class LinearForm:
 
 @lru_cache(maxsize=None)
 def _core_poly(coeffs: tuple) -> Polynomial:
-    terms = {(((_T, i), 1),): c for i, c in coeffs}
+    terms = {1 << _shift(_T, i): c for i, c in coeffs}
     return Polynomial._make(terms)
 
 

@@ -18,7 +18,6 @@ from math import lcm, prod
 from typing import Mapping
 
 from .exactalg import (
-    FAMILIES,
     EqschubError,
     FactoredRational,
     IndexOutOfRange,
@@ -29,8 +28,10 @@ from .exactalg import (
     ratf_sum,
     ratf_to_polynomial,
     t,
+    _T_FIELDS,
     _agree_at_diagonal,
     _coerce,
+    _exponents,
 )
 from .ytcomb import (
     DoesNotFitBox,
@@ -510,8 +511,8 @@ def positivity_certificate(p, n: int | None = None) -> PositivityCertificate:
         expansion = poly.substitute(mapping)
     else:
         expansion = poly
-    for mono, coeff in sorted(expansion.items(), key=lambda kv: kv[0]):
-        if any(FAMILIES[rank] == "t" for (rank, _), _ in mono):
+    for mono, coeff in sorted(expansion.items()):
+        if mono & _T_FIELDS:
             witness = _term_text(mono, coeff)
             return PositivityCertificate(False, expansion, f"t variable survives: {witness}")
         if coeff < 0:
@@ -554,10 +555,11 @@ def _top_degree_integral(c: EqClass, dim: int) -> int:
     tangent-weight product."""
     terms = []
     for I, value in c.items():
-        top = sum(
-            coeff * prod(idx ** e for (_, idx), e in mono)
-            for mono, coeff in value.homogeneous_component(dim).items()
-        )
+        top = 0
+        for mono, coeff in value.items():
+            exps = _exponents(mono)  # the t_i exponent sits at slot i - 1
+            if sum(exps) == dim:
+                top += coeff * prod(map(pow, range(1, len(exps) + 1), exps))
         if top:
             euler = prod(w.sign * sum(a * i for i, a in w.coeffs) for w in tangent_weights(I, c.shape))
             terms.append((top, euler))

@@ -9,6 +9,12 @@ every point, and opposite classes from those by reflecting the subsets and
 substituting t_i -> t_{n+1-i}.  The moment-graph test divides each edge's
 difference by its weight and certifies the verdict by multiplying back, and
 the integral takes one rational sum over the fixed points.
+
+The `tuple_*` functions are the polynomial arithmetic in the engine's former
+monomial layout: a tuple of ((rank, index), exponent) pairs sorted by
+descending variable, with unbounded exponents and indices.  They check the
+packed-int monomials of `exactalg`, including where those must refuse an
+exponent or an index.
 """
 
 from __future__ import annotations
@@ -18,7 +24,10 @@ from functools import lru_cache
 import sympy
 
 from eqschub.exactalg import (
+    FAMILIES,
     FactoredRational,
+    _decode,
+    _variable,
     ratf_sum,
     ratf_to_polynomial,
     t,
@@ -113,14 +122,149 @@ def schur_bialternant(lam, k: int):
 
 def poly_to_sympy(p):
     """Translate an engine polynomial into a sympy expression."""
-    families = "txuy"
     total = sympy.Integer(0)
     for mono, coeff in p.items():
         term = sympy.Integer(coeff)
-        for (rank, idx), e in mono:
-            term *= sympy.Symbol(f"{families[rank]}{idx}") ** e
+        for slot, e in _decode(mono):
+            family, idx = _variable(slot)
+            term *= sympy.Symbol(f"{family}{idx}") ** e
         total += term
     return total
+
+
+# ------------------------------------------------------- tuple-layout oracle
+
+def tuple_terms(p) -> dict:
+    """An engine polynomial as {tuple monomial: coefficient}."""
+    out = {}
+    for mono, coeff in p.items():
+        pairs = []
+        for slot, e in _decode(mono):
+            family, idx = _variable(slot)
+            pairs.append(((FAMILIES.index(family), idx), e))
+        out[tuple(reversed(pairs))] = coeff
+    return out
+
+
+def tuple_variable(family: str, idx: int, e: int = 1) -> tuple:
+    return (((FAMILIES.index(family), idx), e),)
+
+
+def _mono_mul(a, b):
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (va, ea), (vb, eb) = a[i], b[j]
+        if va == vb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif va > vb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return tuple(out + list(a[i:]) + list(b[j:]))
+
+
+def tuple_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def tuple_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = _mono_mul(ma, mb)
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def tuple_max_exponent(a: dict) -> int:
+    return max((e for m in a for _, e in m), default=0)
+
+
+def _render_term(mono, coeff_abs: int) -> str:
+    factors = []
+    for (rank, idx), e in reversed(mono):  # ascending variable order
+        name = f"{FAMILIES[rank]}{idx}"
+        factors.append(name if e == 1 else f"{name}^{e}")
+    if not factors:
+        return str(coeff_abs)
+    if coeff_abs == 1:
+        return "*".join(factors)
+    return str(coeff_abs) + "*" + "*".join(factors)
+
+
+def tuple_str(a: dict) -> str:
+    """Canonical text: terms in descending (total degree, monomial) order."""
+    if not a:
+        return "0"
+    items = sorted(a.items(), key=lambda kv: (sum(e for _, e in kv[0]), kv[0]), reverse=True)
+    pieces = []
+    for mono, coeff in items:
+        body = _render_term(mono, abs(coeff))
+        if not pieces:
+            pieces.append(("-" if coeff < 0 else "") + body)
+        else:
+            pieces.append((" - " if coeff < 0 else " + ") + body)
+    return "".join(pieces)
+
+
+def tuple_substitute_parts(a: dict, images: dict) -> list[dict]:
+    """The image of each term of a under {(rank, idx): tuple polynomial}."""
+    parts = []
+    for mono, coeff in a.items():
+        part = {(): coeff}
+        for v, e in mono:
+            part = tuple_mul(part, tuple_pow(images[v], e))
+        parts.append(part)
+    return parts
+
+
+def tuple_pow(a: dict, e: int) -> dict:
+    result, base = {(): 1}, a
+    while e:
+        if e & 1:
+            result = tuple_mul(result, base)
+        e >>= 1
+        base = tuple_mul(base, base) if e else base
+    return result
+
+
+def tuple_divide(f: dict, a: int, b: int, sign: int) -> tuple[dict, dict]:
+    """(q, r) with f = q*sign*(t_a - t_b) + r and r free of t_a: a term
+    c*R*t_a^e becomes c*R*t_b^e in r and sign*c*R*sum_k t_a^k t_b^(e-1-k)
+    in q, from t_a^e - t_b^e = (t_a - t_b) sum_k t_a^k t_b^(e-1-k)."""
+    ta, tb = {tuple_variable("t", a): 1}, {tuple_variable("t", b): 1}
+    va = tuple_variable("t", a)[0][0]
+    q: dict = {}
+    r: dict = {}
+    for mono, coeff in f.items():
+        e = next((ev for v, ev in mono if v == va), 0)
+        rest = {tuple((v, ev) for v, ev in mono if v != va): coeff}
+        r = tuple_add(r, tuple_mul(rest, tuple_pow(tb, e)))
+        for k in range(e):
+            step = tuple_mul(tuple_pow(ta, k), tuple_pow(tb, e - 1 - k))
+            q = tuple_add(q, tuple_mul({m: sign * c for m, c in rest.items()}, step))
+    return q, r
+
+
+def tuple_agree_at_diagonal(a: dict, b: dict, i: int, j: int) -> bool:
+    """Whether a - b vanishes under t_j -> t_i, by merging the t_i and t_j
+    exponents of every monomial."""
+    ti, tj = tuple_variable("t", i)[0][0], tuple_variable("t", j)[0][0]
+    merged: dict = {}
+    for poly, sign in ((a, 1), (b, -1)):
+        for mono, coeff in poly.items():
+            e = sum(ev for v, ev in mono if v in (ti, tj))
+            key = (tuple((v, ev) for v, ev in mono if v not in (ti, tj)), e)
+            merged[key] = merged.get(key, 0) + sign * coeff
+    return not any(merged.values())
 
 
 def restrict_by_substitution(double_schur_value, pivots, n: int):

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,41 @@ def test_malformed_class_json(tmp_path, capsys, payload):
     assert len(err.splitlines()) == 1 and err.startswith("eqschub: error: ")
 
 
+# --------------------------------------------------------------- size limits
+
+@pytest.mark.parametrize("argv", [
+    ("class", "--n", "40", "--k", "20", "--shape", "1"),
+    ("gkm-graph", "--n", "33", "--k", "1"),
+    ("integrate", "--n", "16", "--k", "8", "--class", "s1"),
+    ("schur", "--shape", "1", "--k", "2", "--n", "40", "--restrict-to", "1"),
+    ("integrate", "--n", "4", "--k", "2", "--class", "2^100000000*s1"),
+], ids=["gr-20-40", "n-above-32", "too-many-points", "schur-restrict", "huge-exponent"])
+def test_cli_refuses_oversized_input_quickly(capsys, argv):
+    """C(40, 20) is about 1.4e11 points, C(16, 8) = 12,870 is above 10,000,
+    t33 does not exist, and the power would loop 10^8 times: each is refused
+    before any class is built."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 10
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("eqschub: error: ")
+
+
+def test_cli_accepts_gr48(capsys):
+    code, out, _ = run_cli(capsys, "class", "--n", "8", "--k", "4", "--shape", "2,1", "--json")
+    assert code == 0
+    assert len(json.loads(out)["restrictions"]) == 70
+
+
+def test_integrate_high_power_on_projective_line(capsys):
+    """s1^300 on Gr(1,2) reaches t exponent 300, above any 8-bit field."""
+    code, out, _ = run_cli(capsys, "integrate", "--n", "2", "--k", "1", "--class", "s1^300")
+    assert code == 0
+    assert out.startswith("t2^299 - 299*t1*t2^298 + 44551*t1^2*t2^297 - ")
+    assert out.rstrip().endswith(" - t1^299")
+
+
 # ---------------------------------------------------------- expression parser
 
 def test_expression_parser_values():
@@ -210,7 +246,7 @@ def test_expression_parser_values():
 
 def test_expression_parser_errors():
     gr24 = GrassmannianShape(4, 2)
-    for text in ("", "s1 +", "s1 ^ s1", "(s1", "s1 @ s2", "s1 s2"):
+    for text in ("", "s1 +", "s1 ^ s1", "(s1", "s1 @ s2", "s1 s2", "s1^65536"):
         with pytest.raises(ParseError):
             parse_class_expr(text, gr24)
 

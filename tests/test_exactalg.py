@@ -2,9 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqschub.exactalg import (
+    FAMILIES,
+    MAX_EXPONENT,
+    MAX_INDEX,
     FactoredRational,
     IndexOutOfRange,
     LinearForm,
+    MonomialOverflow,
     NotDivisible,
     NotPolynomial,
     ParseError,
@@ -14,10 +18,23 @@ from eqschub.exactalg import (
     exact_divide,
     ratf_sum,
     ratf_to_polynomial,
+    _agree_at_diagonal,
     t,
     u,
     x,
     y,
+)
+
+from oracles import (
+    tuple_add,
+    tuple_agree_at_diagonal,
+    tuple_divide,
+    tuple_max_exponent,
+    tuple_mul,
+    tuple_str,
+    tuple_substitute_parts,
+    tuple_terms,
+    tuple_variable,
 )
 
 
@@ -269,6 +286,169 @@ def test_parse_errors():
     for text in ("t1 t2", "3 4", "t1^", "t0", "x1 + u0"):
         with pytest.raises(ParseError):
             Polynomial.parse(text)
+
+
+# ------------------------------------------------------------ monomial limits
+
+def test_variable_index_limit():
+    assert str(Polynomial.variable("y", MAX_INDEX)) == "y32"
+    with pytest.raises(MonomialOverflow):
+        Polynomial.variable("t", MAX_INDEX + 1)
+    with pytest.raises(MonomialOverflow):
+        t(33)
+    with pytest.raises(MonomialOverflow):
+        LinearForm.weight(33, 1).to_polynomial()
+
+
+def test_parse_limits():
+    assert str(Polynomial.parse("t1^65535*x32")) == "t1^65535*x32"
+    for text in ("t1^65536", "t33", "u40^2", "t1^40000*t1^30000"):
+        with pytest.raises(MonomialOverflow):
+            Polynomial.parse(text)
+
+
+def test_exponent_limit_in_products_and_powers():
+    top = t(1) ** MAX_EXPONENT
+    assert str(top * t(2)) == "t1^65535*t2"  # nothing carries into t2
+    with pytest.raises(MonomialOverflow):
+        top * t(1)
+    with pytest.raises(MonomialOverflow):
+        t(1) ** (MAX_EXPONENT + 1)
+    with pytest.raises(MonomialOverflow):
+        (t(1) ** 40000 + t(2)) * (t(3) + t(1) ** 30000)
+    with pytest.raises(MonomialOverflow):
+        (t(32) + y(1)) ** 2 * (y(1) ** MAX_EXPONENT + 1)
+
+
+def test_exponent_limit_in_division():
+    # t2^40000 * t1^30000 has t2 -> t1 remainder t1^70000.
+    with pytest.raises(MonomialOverflow):
+        (t(2) ** 40000 * t(1) ** 30000).divide_with_remainder(t(2) - t(1))
+    with pytest.raises(MonomialOverflow):
+        (t(2) * t(1) ** MAX_EXPONENT).divide_with_remainder(t(2) - t(1))
+    q, r = (t(2) * t(1) ** (MAX_EXPONENT - 1)).divide_with_remainder(t(2) - t(1))
+    assert (q, r) == (t(1) ** (MAX_EXPONENT - 1), t(1) ** MAX_EXPONENT)
+    # At the diagonal the merged exponent may pass the limit.
+    a = t(1) ** 40000 * t(2) ** 40000
+    assert _agree_at_diagonal(a, t(1) ** 50000 * t(2) ** 30000, 1, 2)
+    assert not _agree_at_diagonal(a, t(1) ** 50000 * t(2) ** 30001, 1, 2)
+    # 80000 = 2^16 + 14464: carried into t3's field it would equal t2^14464*t3.
+    assert not _agree_at_diagonal(a, t(2) ** 14464 * t(3), 1, 2)
+
+
+# ------------------------------------------------- packed layout vs tuples
+
+_EXPONENTS = st.one_of(
+    st.integers(1, 3),
+    st.integers(2 ** 15 - 2, 2 ** 15 + 1),  # around the guard bit
+    st.integers(MAX_EXPONENT - 2, MAX_EXPONENT),
+)
+_INDICES = st.one_of(st.sampled_from((1, 2, 31, 32)), st.integers(1, MAX_INDEX))
+_VARIABLES = st.tuples(st.sampled_from(range(len(FAMILIES))), _INDICES)
+
+
+@st.composite
+def tuple_polys(draw, max_terms=4):
+    """A polynomial in the tuple layout over all four families."""
+    terms: dict = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        mono = {draw(_VARIABLES): draw(_EXPONENTS) for _ in range(draw(st.integers(0, 3)))}
+        key = tuple(sorted(mono.items(), reverse=True))
+        terms = tuple_add(terms, {key: draw(st.integers(-9, 9))})
+    return terms
+
+
+def _packed(a: dict) -> Polynomial:
+    return Polynomial.parse(tuple_str(a))
+
+
+@given(tuple_polys(), tuple_polys())
+@settings(max_examples=150, deadline=None)
+def test_packed_ring_ops_match_tuple_oracle(a, b):
+    pa, pb = _packed(a), _packed(b)
+    assert tuple_terms(pa) == a
+    assert str(pa) == tuple_str(a)
+    assert Polynomial.parse(str(pa)) == pa
+    assert pa.variables() == {(FAMILIES[rank], idx) for m in a for (rank, idx), _ in m}
+    assert pa.degree() == max((sum(e for _, e in m) for m in a), default=float("-inf"))
+    # Plain int order is the tuple order, which positivity witnesses follow.
+    assert [next(iter(tuple_terms(Polynomial({m: 1})))) for m, _ in sorted(pa.items())] == sorted(a)
+    assert tuple_terms(pa + pb) == tuple_add(a, b)
+    product = tuple_mul(a, b)
+    if tuple_max_exponent(product) > MAX_EXPONENT:
+        with pytest.raises(MonomialOverflow):
+            pa * pb
+    else:
+        assert tuple_terms(pa * pb) == product
+        assert str(pa * pb) == tuple_str(product)
+
+
+@given(tuple_polys(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_packed_substitute_matches_tuple_oracle(a, data):
+    """Each variable goes to +-c * v^k for another variable v, so exponents
+    near the limit stay cheap; the result overflows when a term's image does."""
+    images = {}
+    for mono in a:
+        for var, _ in mono:
+            if var not in images:
+                target = data.draw(_VARIABLES)
+                images[var] = {tuple_variable(FAMILIES[target[0]], target[1], data.draw(st.integers(1, 2))):
+                               data.draw(st.sampled_from((1, -1, 2)))}
+    mapping = {(FAMILIES[rank], idx): _packed(image) for (rank, idx), image in images.items()}
+    parts = tuple_substitute_parts(a, images)
+    if any(tuple_max_exponent(part) > MAX_EXPONENT for part in parts):
+        with pytest.raises(MonomialOverflow):
+            _packed(a).substitute(mapping)
+    else:
+        total: dict = {}
+        for part in parts:
+            total = tuple_add(total, part)
+        assert tuple_terms(_packed(a).substitute(mapping)) == total
+
+
+@given(tuple_polys(max_terms=5), st.tuples(_INDICES, _INDICES), st.sampled_from((1, -1)))
+@settings(max_examples=150, deadline=None)
+def test_packed_division_matches_tuple_oracle(f, pair, sign):
+    """t_a keeps exponents of at most 3, since the quotient of t_a^e has e
+    terms; t_b and every other variable range up to the limit."""
+    b, a = sorted(pair)
+    if a == b:
+        a, b = (b + 1, b) if b < MAX_INDEX else (b, b - 1)
+    ta = tuple_variable("t", a)[0][0]
+    f = {tuple((v, min(e, 3) if v == ta else e) for v, e in m): c for m, c in f.items()}
+    q, r = tuple_divide(f, a, b, sign)
+    divisor = sign * (t(a) - t(b))
+    if max(tuple_max_exponent(q), tuple_max_exponent(r)) > MAX_EXPONENT:
+        with pytest.raises(MonomialOverflow):
+            _packed(f).divide_with_remainder(divisor)
+    else:
+        pq, pr = _packed(f).divide_with_remainder(divisor)
+        assert (tuple_terms(pq), tuple_terms(pr)) == (q, r)
+
+
+@given(tuple_polys(), st.tuples(_INDICES, _INDICES), st.data())
+@settings(max_examples=150, deadline=None)
+def test_packed_agree_at_diagonal_matches_tuple_oracle(a, pair, data):
+    """b is a with the t_i and t_j exponents of each term split anew, which
+    agrees with a at t_i = t_j, plus at times one more random polynomial."""
+    i, j = sorted(pair)
+    if i == j:
+        i, j = (j - 1, j) if j > 1 else (i, i + 1)
+    ti, tj = tuple_variable("t", i)[0][0], tuple_variable("t", j)[0][0]
+    b: dict = {}
+    for mono, coeff in a.items():
+        ei = sum(e for v, e in mono if v == ti)
+        ej = sum(e for v, e in mono if v == tj)
+        ni = data.draw(st.integers(max(0, ei + ej - MAX_EXPONENT), min(ei + ej, MAX_EXPONENT)))
+        split = {v: e for v, e in mono if v not in (ti, tj)}
+        split.update({v: e for v, e in ((ti, ni), (tj, ei + ej - ni)) if e})
+        b = tuple_add(b, {tuple(sorted(split.items(), reverse=True)): coeff})
+    if data.draw(st.booleans()):
+        b = tuple_add(b, data.draw(tuple_polys(max_terms=2)))
+    else:
+        assert tuple_agree_at_diagonal(a, b, i, j)
+    assert _agree_at_diagonal(_packed(a), _packed(b), i, j) == tuple_agree_at_diagonal(a, b, i, j)
 
 
 # ----------------------------------------------------------------- properties

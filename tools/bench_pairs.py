@@ -3,12 +3,15 @@
     python3 tools/bench_pairs.py workload BASE CHANGE --workload cold_classes \
         --seeds 1-10 --seconds 15 --out BENCH_6.json
     python3 tools/bench_pairs.py build BASE CHANGE --shape 8,4 --repeats 1 --out BENCH_6.json
+    python3 tools/bench_pairs.py verify BASE CHANGE --suite gkm --repeats 5 --out BENCH_7.json
 
 BASE and CHANGE are the roots of two checkouts, for example a clone of the
 parent commit and one of the change.  `workload` runs `perfbench/run.py` in
 each, once per seed, and alternates which side runs first from one seed to
 the next.  `build` times building every Schubert class of Gr(k, n) in a fresh
-interpreter on each side, alternating the same way.  Each metric gets each
+interpreter on each side, alternating the same way.  `verify` times the wall
+clock of `eqschub verify --suite S` in a fresh interpreter on each side,
+alternating the same way, and requires it to pass.  Each metric gets each
 side's median and quartiles, all of its runs, and the number of pairs the
 change won (ties count for neither side); the direction of "better" comes
 from the change's BENCHMARK.json.  Results merge into the --out file, so one
@@ -24,6 +27,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 BUILD_SCRIPT = """
@@ -116,12 +120,26 @@ def run_build(args) -> dict:
             **compare([b for (b, _), _ in pairs], [c for _, (c, _) in pairs], "lower")}
 
 
+def run_verify(args) -> dict:
+    argv = [sys.executable, "-m", "eqschub", "verify", "--suite", args.suite]
+
+    def run(root: Path) -> float:
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        start = time.perf_counter()
+        subprocess.run(argv, cwd=root, env=env, capture_output=True, check=True)
+        return time.perf_counter() - start
+
+    pairs = [alternate(i, args.base, args.change, run) for i in range(args.repeats)]
+    return {"unit": "s", **compare([b for b, _ in pairs], [c for _, c in pairs], "lower")}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     modes = parser.add_subparsers(dest="mode", required=True)
     workload = modes.add_parser("workload", help="paired perfbench/run.py runs")
     build = modes.add_parser("build", help="paired builds of all Schubert classes")
-    for sub in (workload, build):
+    verify = modes.add_parser("verify", help="paired runs of one verify suite")
+    for sub in (workload, build, verify):
         sub.add_argument("base", type=Path)
         sub.add_argument("change", type=Path)
         sub.add_argument("--out", type=Path, required=True)
@@ -131,6 +149,8 @@ def main(argv=None) -> int:
     build.add_argument("--shape", required=True, help="n,k of the Grassmannian",
                        type=lambda s: tuple(int(v) for v in s.split(",")))
     build.add_argument("--repeats", type=int, default=1)
+    verify.add_argument("--suite", default="gkm")
+    verify.add_argument("--repeats", type=int, default=1)
     args = parser.parse_args(argv)
     args.base, args.change = args.base.resolve(), args.change.resolve()
 
@@ -143,6 +163,9 @@ def main(argv=None) -> int:
         directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
         entry = run_workload(args, directions)
         report.setdefault("workloads", {})[args.workload] = {"revisions": revisions, **entry}
+    elif args.mode == "verify":
+        entry = run_verify(args)
+        report.setdefault("verify_suites", {})[args.suite] = {"revisions": revisions, **entry}
     else:
         n, k = args.shape
         entry = run_build(args)
