@@ -124,7 +124,7 @@ def _high(*term_maps: dict) -> int:
 
 def _check_product(a: dict, b: dict) -> None:
     """Raise MonomialOverflow if some product of a monomial of a with one of
-    b has an exponent above MAX_EXPONENT."""
+    b has an exponent above MAX_EXPONENT; both maps are nonempty."""
     for slot, _ in _decode(_high(a, b)):
         shift = slot * _BITS
         top = max((m >> shift) & MAX_EXPONENT for m in a) + max((m >> shift) & MAX_EXPONENT for m in b)
@@ -247,7 +247,7 @@ class Polynomial:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        if a and _high(a, b):
+        if a:
             _check_product(a, b)
         out: dict = {}
         for ma, ca in a.items():
@@ -265,6 +265,11 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        # The largest exponent of p^e is e times that of p; refuse before
+        # squaring builds powers with many terms.
+        top = max((max(_exponents(m), default=0) for m in self._terms), default=0)
+        if top * exponent > MAX_EXPONENT:
+            raise MonomialOverflow(f"exponent {top * exponent} exceeds {MAX_EXPONENT}")
         result = Polynomial.one()
         base = self
         e = exponent

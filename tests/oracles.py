@@ -146,8 +146,9 @@ def tuple_terms(p) -> dict:
     return out
 
 
-def tuple_variable(family: str, idx: int, e: int = 1) -> tuple:
-    return (((FAMILIES.index(family), idx), e),)
+def tuple_variable(family: str, idx: int) -> tuple:
+    """The (rank, index) key of a variable in a tuple monomial."""
+    return FAMILIES.index(family), idx
 
 
 def _mono_mul(a, b):
@@ -240,8 +241,8 @@ def tuple_divide(f: dict, a: int, b: int, sign: int) -> tuple[dict, dict]:
     """(q, r) with f = q*sign*(t_a - t_b) + r and r free of t_a: a term
     c*R*t_a^e becomes c*R*t_b^e in r and sign*c*R*sum_k t_a^k t_b^(e-1-k)
     in q, from t_a^e - t_b^e = (t_a - t_b) sum_k t_a^k t_b^(e-1-k)."""
-    ta, tb = {tuple_variable("t", a): 1}, {tuple_variable("t", b): 1}
-    va = tuple_variable("t", a)[0][0]
+    va = tuple_variable("t", a)
+    ta, tb = {((va, 1),): 1}, {((tuple_variable("t", b), 1),): 1}
     q: dict = {}
     r: dict = {}
     for mono, coeff in f.items():
@@ -257,7 +258,7 @@ def tuple_divide(f: dict, a: int, b: int, sign: int) -> tuple[dict, dict]:
 def tuple_agree_at_diagonal(a: dict, b: dict, i: int, j: int) -> bool:
     """Whether a - b vanishes under t_j -> t_i, by merging the t_i and t_j
     exponents of every monomial."""
-    ti, tj = tuple_variable("t", i)[0][0], tuple_variable("t", j)[0][0]
+    ti, tj = tuple_variable("t", i), tuple_variable("t", j)
     merged: dict = {}
     for poly, sign in ((a, 1), (b, -1)):
         for mono, coeff in poly.items():

@@ -318,6 +318,9 @@ def test_exponent_limit_in_products_and_powers():
         (t(1) ** 40000 + t(2)) * (t(3) + t(1) ** 30000)
     with pytest.raises(MonomialOverflow):
         (t(32) + y(1)) ** 2 * (y(1) ** MAX_EXPONENT + 1)
+    with pytest.raises(MonomialOverflow):
+        (t(32) + y(1)) ** 70000  # refused up front, not after 2^14 squarings
+    assert (t(2) ** 2 + 1) ** 0 == 1
 
 
 def test_exponent_limit_in_division():
@@ -393,8 +396,7 @@ def test_packed_substitute_matches_tuple_oracle(a, data):
         for var, _ in mono:
             if var not in images:
                 target = data.draw(_VARIABLES)
-                images[var] = {tuple_variable(FAMILIES[target[0]], target[1], data.draw(st.integers(1, 2))):
-                               data.draw(st.sampled_from((1, -1, 2)))}
+                images[var] = {((target, data.draw(st.integers(1, 2))),): data.draw(st.sampled_from((1, -1, 2)))}
     mapping = {(FAMILIES[rank], idx): _packed(image) for (rank, idx), image in images.items()}
     parts = tuple_substitute_parts(a, images)
     if any(tuple_max_exponent(part) > MAX_EXPONENT for part in parts):
@@ -415,7 +417,7 @@ def test_packed_division_matches_tuple_oracle(f, pair, sign):
     b, a = sorted(pair)
     if a == b:
         a, b = (b + 1, b) if b < MAX_INDEX else (b, b - 1)
-    ta = tuple_variable("t", a)[0][0]
+    ta = tuple_variable("t", a)
     f = {tuple((v, min(e, 3) if v == ta else e) for v, e in m): c for m, c in f.items()}
     q, r = tuple_divide(f, a, b, sign)
     divisor = sign * (t(a) - t(b))
@@ -435,7 +437,7 @@ def test_packed_agree_at_diagonal_matches_tuple_oracle(a, pair, data):
     i, j = sorted(pair)
     if i == j:
         i, j = (j - 1, j) if j > 1 else (i, i + 1)
-    ti, tj = tuple_variable("t", i)[0][0], tuple_variable("t", j)[0][0]
+    ti, tj = tuple_variable("t", i), tuple_variable("t", j)
     b: dict = {}
     for mono, coeff in a.items():
         ei = sum(e for v, e in mono if v == ti)

@@ -148,9 +148,9 @@ def main(argv=None) -> int:
     workload.add_argument("--seconds", type=float, default=15.0)
     build.add_argument("--shape", required=True, help="n,k of the Grassmannian",
                        type=lambda s: tuple(int(v) for v in s.split(",")))
-    build.add_argument("--repeats", type=int, default=1)
     verify.add_argument("--suite", default="gkm")
-    verify.add_argument("--repeats", type=int, default=1)
+    for sub in (build, verify):
+        sub.add_argument("--repeats", type=int, default=1)
     args = parser.parse_args(argv)
     args.base, args.change = args.base.resolve(), args.change.resolve()
 
