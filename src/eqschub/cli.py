@@ -34,8 +34,9 @@ DOMAIN_ERROR = 1
 VERIFY_FAILURE = 2
 
 # A command accepts Gr(k, n) only with n <= MAX_INDEX, the number of t
-# variables, and at most MAX_FIXED_POINTS fixed points, and refuses any other
-# shape before it builds anything.  The library API has no such bound.
+# variables, and, when it builds classes over all fixed points, at most
+# MAX_FIXED_POINTS of them; it refuses any other shape before it builds
+# anything.  The library API has no such bound.
 MAX_FIXED_POINTS = 10_000
 
 
@@ -177,10 +178,15 @@ def parse_class_expr(text: str, shape: GrassmannianShape) -> EqClass:
 
 # ---------------------------------------------------------------- subcommands
 
-def _shape_from(args) -> GrassmannianShape:
+def _indexed_shape(args) -> GrassmannianShape:
     shape = GrassmannianShape(args.n, args.k)
     if shape.n > MAX_INDEX:
         raise EqschubError(f"Gr({shape.k},{shape.n}) needs t{shape.n}; at most {MAX_INDEX} t variables exist")
+    return shape
+
+
+def _shape_from(args) -> GrassmannianShape:
+    shape = _indexed_shape(args)
     points = comb(shape.n, shape.k)
     if points > MAX_FIXED_POINTS:
         raise EqschubError(
@@ -197,7 +203,7 @@ def _cmd_schur(args) -> int:
         if args.n is None:
             raise EqschubError("--restrict-to needs --n")
         mu = _parse_partition(args.restrict_to)
-        poly = restrict_schur(lam, mu, _shape_from(args))
+        poly = restrict_schur(lam, mu, _indexed_shape(args))
     elif args.ordinary:
         poly = ordinary_schur(lam, args.k)
     else:

@@ -3,14 +3,14 @@
     python3 tools/bench_pairs.py workload BASE CHANGE --workload cold_classes \
         --seeds 1-10 --seconds 15 --out BENCH_6.json
     python3 tools/bench_pairs.py build BASE CHANGE --shape 8,4 --repeats 1 --out BENCH_6.json
-    python3 tools/bench_pairs.py verify BASE CHANGE --suite gkm --repeats 5 --out BENCH_7.json
+    python3 tools/bench_pairs.py verify BASE CHANGE --repeats 5 --out BENCH_7.json
 
 BASE and CHANGE are the roots of two checkouts, for example a clone of the
 parent commit and one of the change.  `workload` runs `perfbench/run.py` in
 each, once per seed, and alternates which side runs first from one seed to
 the next.  `build` times building every Schubert class of Gr(k, n) in a fresh
 interpreter on each side, alternating the same way.  `verify` times the wall
-clock of `eqschub verify --suite S` in a fresh interpreter on each side,
+clock of `eqschub verify --suite gkm` in a fresh interpreter on each side,
 alternating the same way, and requires it to pass.  Each metric gets each
 side's median and quartiles, all of its runs, and the number of pairs the
 change won (ties count for neither side); the direction of "better" comes
@@ -121,7 +121,7 @@ def run_build(args) -> dict:
 
 
 def run_verify(args) -> dict:
-    argv = [sys.executable, "-m", "eqschub", "verify", "--suite", args.suite]
+    argv = [sys.executable, "-m", "eqschub", "verify", "--suite", "gkm"]
 
     def run(root: Path) -> float:
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -138,7 +138,7 @@ def main(argv=None) -> int:
     modes = parser.add_subparsers(dest="mode", required=True)
     workload = modes.add_parser("workload", help="paired perfbench/run.py runs")
     build = modes.add_parser("build", help="paired builds of all Schubert classes")
-    verify = modes.add_parser("verify", help="paired runs of one verify suite")
+    verify = modes.add_parser("verify", help="paired runs of the gkm verify suite")
     for sub in (workload, build, verify):
         sub.add_argument("base", type=Path)
         sub.add_argument("change", type=Path)
@@ -148,7 +148,6 @@ def main(argv=None) -> int:
     workload.add_argument("--seconds", type=float, default=15.0)
     build.add_argument("--shape", required=True, help="n,k of the Grassmannian",
                        type=lambda s: tuple(int(v) for v in s.split(",")))
-    verify.add_argument("--suite", default="gkm")
     for sub in (build, verify):
         sub.add_argument("--repeats", type=int, default=1)
     args = parser.parse_args(argv)
@@ -165,7 +164,7 @@ def main(argv=None) -> int:
         report.setdefault("workloads", {})[args.workload] = {"revisions": revisions, **entry}
     elif args.mode == "verify":
         entry = run_verify(args)
-        report.setdefault("verify_suites", {})[args.suite] = {"revisions": revisions, **entry}
+        report["verify_gkm"] = {"revisions": revisions, **entry}
     else:
         n, k = args.shape
         entry = run_build(args)
