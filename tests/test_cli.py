@@ -65,6 +65,12 @@ def test_schur_restrict(capsys):
                            "--restrict-to", "1", "--n", "2")
     assert code == 0
     assert out == "t2 - t1\n"
+    # One restriction only, so the fixed-point bound does not apply:
+    # Gr(8,16) has 12,870 points.
+    code, out, _ = run_cli(capsys, "schur", "--shape", "1", "--k", "8",
+                           "--restrict-to", "1", "--n", "16")
+    assert code == 0
+    assert out == "t9 - t8\n"
 
 
 def test_schur_ordinary(capsys):
@@ -207,15 +213,6 @@ def test_cli_refuses_oversized_input_quickly(capsys, argv):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("eqschub: error: ")
-
-
-def test_schur_restrict_to_is_not_bounded_by_fixed_points(capsys):
-    """One restriction is built, so only the 32 t variables bound n: Gr(8,16)
-    has 12,870 fixed points, more than a whole class may have."""
-    code, out, _ = run_cli(capsys, "schur", "--shape", "1", "--k", "8", "--n", "16",
-                           "--restrict-to", "1")
-    assert code == 0
-    assert out.strip() == "t9 - t8"
 
 
 def test_cli_accepts_gr48(capsys):
