@@ -6,9 +6,11 @@ linear forms in the t variables; and rational functions whose denominators
 are kept as multisets of weights t_a - t_b and are never expanded.  The only
 division is by such a weight.  A monomial is one int with a 16-bit exponent
 field per variable, so indices go up to MAX_INDEX = 32 and exponents up to
-MAX_EXPONENT = 65535; past either, MonomialOverflow is raised.  All values
-are immutable and every operation is a pure function, so the whole module
-is safe for unrestricted concurrent use.
+MAX_EXPONENT = 65535; past either, MonomialOverflow is raised.  The change to
+consecutive differences y_i = t_{i+1} - t_i behind Graham positivity
+certificates is a chain of one-variable shifts on that layout, not a generic
+substitution.  All values are immutable and every operation is a pure
+function, so the whole module is safe for unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ from __future__ import annotations
 import re
 import struct
 from functools import lru_cache, reduce
+from math import comb
 from operator import or_
 from typing import Iterable, Mapping, Union
 
 FAMILIES = ("t", "x", "u", "y")
 _RANK = {name: rank for rank, name in enumerate(FAMILIES)}
 _T = _RANK["t"]
+_Y = _RANK["y"]
 
 # A monomial is one int holding a 16-bit exponent field per variable: the
 # variable with index i in the family of rank r owns the field at slot
@@ -554,6 +558,44 @@ def _agree_at_diagonal(a: Polynomial, b: Polynomial, i: int, j: int) -> bool:
         key = mono + ((mono >> si) & MAX_EXPONENT) * move
         merged[key] = merged.get(key, 0) - coeff
     return not any(merged.values())
+
+
+def _difference_chain(p: Polynomial, n: int) -> Polynomial:
+    """The image of a polynomial in t_1..t_n under t_i -> t_n - (y_i + ... +
+    y_{n-1}), with y_i standing for t_{i+1} - t_i.
+
+    The map is the chain t_1 -> t_2 - y_1, then t_2 -> t_3 - y_2, ..., then
+    t_{n-1} -> t_n - y_{n-1}.  Step i is one pass over the terms: a term with
+    t_i exponent a expands (t_{i+1} - y_i)^a by the binomial theorem, moving
+    a - j of the exponent onto t_{i+1}'s field and j onto y_i's.  The image
+    of a monomial holds t_n to its total degree, so MonomialOverflow is
+    raised up front when some total degree passes MAX_EXPONENT.
+    """
+    _shift(_T, n)  # MonomialOverflow for n > MAX_INDEX, before any work
+    terms = p._terms
+    top = max(map(_mono_degree, terms), default=0)
+    if top > MAX_EXPONENT:
+        raise MonomialOverflow(f"exponent {top} of t{n} exceeds {MAX_EXPONENT}")
+    rows: dict = {}  # a -> the coefficients (-1)^j C(a, j) of (t - y)^a
+    for i in range(1, n):
+        st, sn = _shift(_T, i), _shift(_T, i + 1)
+        move = (1 << sn) - (1 << st)
+        step = (1 << _shift(_Y, i)) - (1 << sn)  # t_{i+1} -> y_i
+        out: dict = {}
+        for mono, coeff in terms.items():
+            a = (mono >> st) & MAX_EXPONENT
+            if not a:
+                out[mono] = out.get(mono, 0) + coeff
+                continue
+            row = rows.get(a)
+            if row is None:
+                row = rows[a] = [(-1) ** j * comb(a, j) for j in range(a + 1)]
+            key = mono + a * move
+            for b in row:
+                out[key] = out.get(key, 0) + coeff * b
+                key += step
+        terms = {m: c for m, c in out.items() if c}
+    return Polynomial._make(terms)
 
 
 def t(i: int) -> Polynomial:

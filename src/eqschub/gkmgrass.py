@@ -13,8 +13,10 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
 from math import lcm, prod
+from operator import or_
 from typing import Mapping
 
 from .exactalg import (
@@ -31,6 +33,7 @@ from .exactalg import (
     _T_FIELDS,
     _agree_at_diagonal,
     _coerce,
+    _difference_chain,
     _exponents,
 )
 from .ytcomb import (
@@ -485,10 +488,13 @@ class PositivityCertificate:
 
 
 def positivity_certificate(p, n: int | None = None) -> PositivityCertificate:
-    """Substitute t_i -> t_n - (y_i + ... + y_{n-1}) and inspect the result.
+    """Rewrite p under t_i -> t_n - (y_i + ... + y_{n-1}) and inspect the
+    result; y_i stands for t_{i+1} - t_i.
 
+    The map is applied as the chain of one-variable shifts t_1 -> t_2 - y_1,
+    ..., t_{n-1} -> t_n - y_{n-1}, each one binomial expansion per term.
     Succeeds iff no t variable survives and every coefficient is
-    nonnegative; y_i stands for t_{i+1} - t_i.
+    nonnegative.
     """
     poly = _coerce(p)
     if poly is NotImplemented:
@@ -501,16 +507,7 @@ def positivity_certificate(p, n: int | None = None) -> PositivityCertificate:
         n = tvars[-1] if tvars else 0
     elif tvars and tvars[-1] > n:
         raise ValueError(f"polynomial mentions t{tvars[-1]} > t{n}")
-    if tvars:
-        mapping = {}
-        for i in range(1, n + 1):
-            image = Polynomial.variable("t", n)
-            for a in range(i, n):
-                image = image - Polynomial.variable("y", a)
-            mapping[("t", i)] = image
-        expansion = poly.substitute(mapping)
-    else:
-        expansion = poly
+    expansion = _difference_chain(poly, n) if tvars else poly
     for mono, coeff in sorted(expansion.items()):
         if mono & _T_FIELDS:
             witness = _term_text(mono, coeff)
@@ -537,32 +534,46 @@ def integrate(c: EqClass) -> Polynomial:
     in the image of the restriction map.
     """
     dim = c.shape.dimension
+    tops = _top_degree_values(c, dim)
     if (
-        all(v.degree() <= dim for _, v in c.items())
-        and all(family == "t" for _, v in c.items() for family, _ in v.variables())
+        tops is not None
+        and not reduce(or_, (m for _, v in c.items() for m, _ in v.items()), 0) & ~_T_FIELDS
         and gkm_check(c).ok
     ):
-        return Polynomial.integer(_top_degree_integral(c, dim))
+        return Polynomial.integer(_top_degree_integral(c, tops))
     pieces = []
     for I in c.support():
         pieces.append(FactoredRational(c.restriction(I), tangent_weights(I, c.shape)))
     return ratf_to_polynomial(ratf_sum(pieces))
 
 
-def _top_degree_integral(c: EqClass, dim: int) -> int:
-    """Sum of c_dim(I)(p) / e_I(p) over one common integer denominator at
-    p = (1, 2, ..., n), where c_dim is the degree-dim component and e_I the
-    tangent-weight product."""
-    terms = []
+def _top_degree_values(c: EqClass, dim: int) -> dict | None:
+    """The degree-dim component of each restriction evaluated at
+    p = (1, 2, ..., n), by point, leaving out zeros; None when some term has
+    degree above dim.  Each term is decoded once."""
+    tops = {}
     for I, value in c.items():
         top = 0
         for mono, coeff in value.items():
             exps = _exponents(mono)  # the t_i exponent sits at slot i - 1
-            if sum(exps) == dim:
+            degree = sum(exps)
+            if degree > dim:
+                return None
+            if degree == dim:
                 top += coeff * prod(map(pow, range(1, len(exps) + 1), exps))
         if top:
-            euler = prod(w.sign * sum(a * i for i, a in w.coeffs) for w in tangent_weights(I, c.shape))
-            terms.append((top, euler))
+            tops[I] = top
+    return tops
+
+
+def _top_degree_integral(c: EqClass, tops: dict) -> int:
+    """Sum of c_dim(I)(p) / e_I(p) over one common integer denominator, from
+    the values c_dim(I)(p) of `_top_degree_values`; e_I is the
+    tangent-weight product at p."""
+    terms = [
+        (top, prod(w.sign * sum(a * i for i, a in w.coeffs) for w in tangent_weights(I, c.shape)))
+        for I, top in tops.items()
+    ]
     common = lcm(*(euler for _, euler in terms))
     total, rest = divmod(sum(top * (common // euler) for top, euler in terms), common)
     if rest:

@@ -8,7 +8,9 @@ Schubert classes come from the semistandard tableau sum `restrict_schur` at
 every point, and opposite classes from those by reflecting the subsets and
 substituting t_i -> t_{n+1-i}.  The moment-graph test divides each edge's
 difference by its weight and certifies the verdict by multiplying back, and
-the integral takes one rational sum over the fixed points.
+the integral takes one rational sum over the fixed points.  The Graham
+positivity certificate substitutes t_i -> t_n - (y_i + ... + y_{n-1}) all at
+once with the generic `Polynomial.substitute`.
 
 The `tuple_*` functions are the polynomial arithmetic in the engine's former
 monomial layout: a tuple of ((rank, index), exponent) pairs sorted by
@@ -26,6 +28,7 @@ import sympy
 from eqschub.exactalg import (
     FAMILIES,
     FactoredRational,
+    Polynomial,
     _decode,
     _variable,
     ratf_sum,
@@ -33,7 +36,13 @@ from eqschub.exactalg import (
     t,
 )
 from eqschub.dschur import restrict_schur
-from eqschub.gkmgrass import EqClass, GkmCheckResult, GkmViolation, gkm_graph
+from eqschub.gkmgrass import (
+    EqClass,
+    GkmCheckResult,
+    GkmViolation,
+    PositivityCertificate,
+    gkm_graph,
+)
 from eqschub.ytcomb import as_partition, subset_to_partition, tangent_weights
 
 
@@ -325,3 +334,35 @@ def integrate_by_rational_sum(c):
     one rational function over the common denominator, which must clear."""
     pieces = [FactoredRational(c.restriction(I), tangent_weights(I, c.shape)) for I in c.support()]
     return ratf_to_polynomial(ratf_sum(pieces))
+
+
+def certificate_by_substitution(p, n: int | None = None) -> PositivityCertificate:
+    """The Graham positivity certificate by one generic substitution
+    t_i -> t_n - (y_i + ... + y_{n-1}) for every i <= n, with the same
+    argument checks, verdict and witness text as the engine."""
+    poly = Polynomial.integer(p) if isinstance(p, int) else p
+    variables = poly.variables()
+    bad = [(fam, idx) for fam, idx in variables if fam != "t"]
+    if bad:
+        raise ValueError(f"polynomial must involve only t variables, found {bad}")
+    tvars = sorted(idx for _, idx in variables)
+    if n is None:
+        n = tvars[-1] if tvars else 0
+    elif tvars and tvars[-1] > n:
+        raise ValueError(f"polynomial mentions t{tvars[-1]} > t{n}")
+    expansion = poly
+    if tvars:
+        mapping = {}
+        for i in range(1, n + 1):
+            image = Polynomial.variable("t", n)
+            for a in range(i, n):
+                image = image - Polynomial.variable("y", a)
+            mapping[("t", i)] = image
+        expansion = poly.substitute(mapping)
+    for mono, coeff in sorted(expansion.items()):
+        term = str(Polynomial({mono: coeff}))
+        if any(fam == "t" for fam, _ in Polynomial({mono: 1}).variables()):
+            return PositivityCertificate(False, expansion, f"t variable survives: {term}")
+        if coeff < 0:
+            return PositivityCertificate(False, expansion, f"negative coefficient: {term}")
+    return PositivityCertificate(True, expansion, None)

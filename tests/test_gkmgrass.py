@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqschub.cli import parse_class_expr
-from eqschub.exactalg import NotPolynomial, Polynomial, t, y
+from eqschub.exactalg import MonomialOverflow, NotPolynomial, Polynomial, t, y
 from eqschub.gkmgrass import (
     EqClass,
     NotInSpan,
@@ -36,6 +36,7 @@ from eqschub.ytcomb import (
 )
 
 from oracles import (
+    certificate_by_substitution,
     gkm_check_by_division,
     integrate_by_rational_sum,
     opposite_by_substitution,
@@ -140,10 +141,12 @@ def test_schubert_class_matches_tableau_sum_oracle():
 
 
 def test_schubert_restrictions_are_graham_positive():
-    # Every restriction on every Gr(k, n) with n <= 5, and on Gr(2,6), is a
-    # nonzero polynomial with nonnegative coefficients in the y_i where mu
-    # contains lam, and zero elsewhere; about 1 s.
-    for shape in [s for s in UP_TO_N7 if s.n <= 5] + [GrassmannianShape(6, 2)]:
+    # Every restriction on every Gr(k, n) with n <= 5, and on Gr(2,6), Gr(3,6)
+    # and Gr(2,7), is a nonzero polynomial with nonnegative coefficients in
+    # the y_i where mu contains lam, and zero elsewhere; about 1 s.  Gr(3,7)
+    # is left out: its certificates alone take about 2 s.
+    extra = [GrassmannianShape(6, 2), GR36, GrassmannianShape(7, 2)]
+    for shape in [s for s in UP_TO_N7 if s.n <= 5] + extra:
         for lam in shape.partitions():
             cls = schubert_class(lam, shape)
             for J in shape.subsets():
@@ -563,6 +566,29 @@ def test_expansion_respects_ring_structure():
     assert total == schubert_class(a, GR24) * schubert_class(b, GR24)
 
 
+def test_structure_constants_follow_equivariant_chevalley_rule():
+    # sigma_1 * sigma_lam = sigma_1|lam * sigma_lam + the sum of sigma_nu over
+    # the partitions nu that add one box to lam inside the box (Knutson-Tao,
+    # Molev-Sagan), with sigma_1|lam from the tableau-sum oracle.  Every lam
+    # on every Gr(k, n) with n <= 7 and a fixed sample of 8 lam on Gr(4,8),
+    # under 3 s; all 70 lam on Gr(4,8) would take about 7 s.
+    gr48 = GrassmannianShape(8, 4)
+    sample = [(), (1,), (2, 1), (3, 1, 1), (2, 2, 2), (4, 2, 1), (3, 3, 2, 1), (4, 4, 4, 3)]
+    cases = [(shape, lam) for shape in UP_TO_N7 for lam in shape.partitions()]
+    cases += [(gr48, Partition(lam)) for lam in sample]
+    for shape, lam in cases:
+        sigma1 = schubert_by_tableau_sum(Partition((1,)), shape)
+        want = {
+            nu: Polynomial.one()
+            for nu in shape.partitions()
+            if nu.weight == lam.weight + 1 and nu.contains(lam)
+        }
+        diagonal = sigma1.restriction(partition_to_subset(lam, shape))
+        if diagonal:
+            want[lam] = diagonal
+        assert structure_constants((1,), lam, shape).coeffs == want, (shape, lam)
+
+
 # ----------------------------------------------------------------- positivity
 
 def test_positivity_examples():
@@ -596,6 +622,70 @@ def test_positivity_respects_explicit_n():
     cert5 = positivity_certificate(t(3) - t(1), 5)
     assert cert3.ok and cert5.ok
     assert cert3.expansion == cert5.expansion == y(1) + y(2)
+
+
+def _same_certificate(p, n=None):
+    chain, oracle = positivity_certificate(p, n), certificate_by_substitution(p, n)
+    assert (chain.ok, str(chain.expansion), chain.witness) == (
+        oracle.ok, str(oracle.expansion), oracle.witness
+    ), (p, n)
+    assert chain.expansion == oracle.expansion
+    return chain
+
+
+def test_certificate_chain_matches_substitution_on_fixed_cases():
+    w = lambda j, i: t(j) - t(i)
+    assert _same_certificate(w(3, 1) * w(2, 1) ** 2 + 2 * w(4, 2), 4).ok
+    assert not _same_certificate(w(1, 3) * w(2, 1)).ok  # negative coefficient
+    assert not _same_certificate(t(2) * w(3, 1), 5).ok  # t survives, n above the top
+    assert not _same_certificate(t(1) ** 2 - 3, 1).ok  # n = 1
+    assert _same_certificate(Polynomial.integer(7), 4).expansion == 7  # no t at all
+    assert _same_certificate(0).ok
+    assert _same_certificate(Polynomial.parse("t1*t2^65534"), 2).expansion.degree() == 65535
+
+
+def test_certificate_overflow_on_both_routes():
+    # The image of a monomial of total degree 65536 holds t2^65536.  The
+    # substitution route raises at its first product on t1*t2^65535; on
+    # t1^40000*t2^40000 it would first expand (t2 - y1)^40000, so only the
+    # chain, which checks degrees up front, runs that one.
+    for route in (positivity_certificate, certificate_by_substitution):
+        with pytest.raises(MonomialOverflow):
+            route(Polynomial.parse("t1*t2^65535"), 2)
+    with pytest.raises(MonomialOverflow):
+        positivity_certificate(Polynomial.parse("t1^40000*t2^40000"), 2)
+
+
+@st.composite
+def _t_polynomials(draw):
+    """A sum of products of weights t_j - t_i on t_1..t_top, which is
+    translation-invariant; both orientations and signed scalars give
+    negative coefficients.  Optionally plus monomials, which are not
+    invariant, so some t survives."""
+    top = draw(st.integers(0, 5))
+    total = Polynomial.integer(draw(st.integers(-3, 3)))
+    if not top:
+        return total
+    index = st.integers(1, top)
+    positive = draw(st.booleans())
+    for _ in range(draw(st.integers(0, 3))):
+        term = Polynomial.integer(draw(st.integers(0 if positive else -3, 3)))
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = sorted((draw(index), draw(index)), reverse=not positive)
+            term = term * (t(j) - t(i))
+        total = total + term
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            total = total + draw(st.integers(-3, 3)) * t(draw(index)) ** draw(st.integers(1, 3))
+    return total
+
+
+@given(_t_polynomials(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_certificate_chain_matches_substitution(p, data):
+    top = max((idx for _, idx in p.variables()), default=0)
+    n = data.draw(st.one_of(st.none(), st.integers(max(top, 1), top + 3)))
+    _same_certificate(p, n)
 
 
 # ---------------------------------------------------------------- integration

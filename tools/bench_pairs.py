@@ -8,7 +8,9 @@
 BASE and CHANGE are the roots of two checkouts, for example a clone of the
 parent commit and one of the change.  `workload` runs `perfbench/run.py` in
 each, once per seed, and alternates which side runs first from one seed to
-the next.  `build` times building every Schubert class of Gr(k, n) in a fresh
+the next.  Each side is recorded by its git revision and by a sha256 of its
+src/eqschub/*.py, so two checkouts of one commit with different sources
+can be told apart.  `build` times building every Schubert class of Gr(k, n) in a fresh
 interpreter on each side, alternating the same way.  `verify` times the wall
 clock of `eqschub verify --suite gkm` in a fresh interpreter on each side,
 alternating the same way, and requires it to pass.  Each metric gets each
@@ -21,6 +23,7 @@ file collects several workloads and builds.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -54,6 +57,14 @@ def revision(root: Path) -> str:
     out = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
                          capture_output=True, text=True)
     return out.stdout.strip() or "unknown"
+
+
+def source_digest(root: Path) -> str:
+    """sha256 over the names and bytes of src/eqschub/*.py, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted((root / "src" / "eqschub").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
 
 
 def summary(values: list[float]) -> dict:
@@ -156,19 +167,20 @@ def main(argv=None) -> int:
     report = json.loads(args.out.read_text()) if args.out.exists() else {}
     report["context"] = {"python": platform.python_version(), "machine": platform.machine(),
                          "cpus": os.cpu_count()}
-    revisions = {"base": revision(args.base), "change": revision(args.change)}
+    sides = {"revisions": {"base": revision(args.base), "change": revision(args.change)},
+             "sources": {"base": source_digest(args.base), "change": source_digest(args.change)}}
     if args.mode == "workload":
         bench = json.loads((args.change / "BENCHMARK.json").read_text())
         directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
         entry = run_workload(args, directions)
-        report.setdefault("workloads", {})[args.workload] = {"revisions": revisions, **entry}
+        report.setdefault("workloads", {})[args.workload] = {**sides, **entry}
     elif args.mode == "verify":
         entry = run_verify(args)
-        report["verify_gkm"] = {"revisions": revisions, **entry}
+        report["verify_gkm"] = {**sides, **entry}
     else:
         n, k = args.shape
         entry = run_build(args)
-        report.setdefault("class_builds", {})[f"Gr({k},{n})"] = {"revisions": revisions, **entry}
+        report.setdefault("class_builds", {})[f"Gr({k},{n})"] = {**sides, **entry}
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
