@@ -9,11 +9,11 @@ BASE and CHANGE are the roots of two checkouts, for example a clone of the
 parent commit and one of the change.  `workload` runs `perfbench/run.py` in
 each, once per seed, and alternates which side runs first from one seed to
 the next.  Each side is recorded by its git revision and by a sha256 of its
-src/eqschub/*.py, so two checkouts of one commit with different sources
-can be told apart.  `build` times building every Schubert class of Gr(k, n) in a fresh
-interpreter on each side, alternating the same way.  `verify` times the wall
-clock of `eqschub verify --suite gkm` in a fresh interpreter on each side,
-alternating the same way, and requires it to pass.  Each metric gets each
+src/eqschub/*.py, so two checkouts of one commit with different sources can
+be told apart.  `build` times building every Schubert class of Gr(k, n) in a
+fresh interpreter on each side, alternating the same way.  `verify` times
+the wall clock of `eqschub verify --suite gkm` in a fresh interpreter on each
+side, alternating the same way, and requires it to pass.  Each metric gets each
 side's median and quartiles, all of its runs, and the number of pairs the
 change won (ties count for neither side); the direction of "better" comes
 from the change's BENCHMARK.json.  Results merge into the --out file, so one
