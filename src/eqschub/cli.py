@@ -21,13 +21,12 @@ from .gkmgrass import (
     gkm_check,
     gkm_graph,
     integrate,
-    kempf_laksov_class,
     positivity_certificate,
     projective_zeta,
     schubert_class,
     structure_constants,
 )
-from .suites import SUITE_NAMES, run_suites
+from .suites import SUITE_NAMES, kl_mismatches, run_suites
 from .ytcomb import GrassmannianShape, Partition
 
 DOMAIN_ERROR = 1
@@ -306,10 +305,7 @@ def _cmd_gkm_graph(args) -> int:
 
 def _cmd_kl_verify(args) -> int:
     shape = _shape_from(args)
-    failures = []
-    for lam in shape.partitions():
-        if kempf_laksov_class(lam, shape) != schubert_class(lam, shape):
-            failures.append(str(lam))
+    failures = [str(lam) for lam in kl_mismatches(shape)]
     if args.json:
         _emit(_json_text({"ok": not failures, "cases": len(shape.partitions()),
                           "failures": failures}), args)

@@ -312,6 +312,11 @@ class Polynomial:
         """Apply the ring homomorphism sending each (family, index) variable
         to the given polynomial.  Every variable occurring here must be
         mapped, otherwise UnmappedVariable is raised.
+
+        A product of nonzero polynomials has, in each variable, the sum of
+        the factors' degrees there, so MonomialOverflow is raised before any
+        expansion when the image of some monomial has an exponent above
+        MAX_EXPONENT; a monomial with a zero image contributes nothing.
         """
         images = {}
         for (family, index), img in mapping.items():
@@ -320,18 +325,36 @@ class Polynomial:
             img = _coerce_strict(img)
             if 1 <= index <= MAX_INDEX:  # no monomial holds any other index
                 images[_RANK[family] * MAX_INDEX + index - 1] = img
-        pow_cache: dict = {}
-        out: dict = {}
+        tops: dict = {}  # slot -> (field, largest exponent there) of its image
+        live = []  # (coefficient, factors) of each term whose image is not zero
         for mono, coeff in self._terms.items():
-            part = Polynomial.one()
-            for slot, e in reversed(_decode(mono)):
+            factors = _decode(mono)[::-1]
+            degrees: dict = {}
+            for slot, e in factors:
                 img = images.get(slot)
                 if img is None:
                     raise UnmappedVariable(f"no image for {_NAMES[slot]}")
+                if slot not in tops:
+                    tops[slot] = [
+                        (field, max((m >> field * _BITS) & MAX_EXPONENT for m in img._terms))
+                        for field, _ in _decode(reduce(or_, img._terms, 0))
+                    ]
+                for field, d in tops[slot]:
+                    degrees[field] = degrees.get(field, 0) + e * d
+            if all(images[slot] for slot, _ in factors):
+                for field, d in degrees.items():
+                    if d > MAX_EXPONENT:
+                        raise MonomialOverflow(f"exponent {d} of {_NAMES[field]} exceeds {MAX_EXPONENT}")
+                live.append((coeff, factors))
+        pow_cache: dict = {}
+        out: dict = {}
+        for coeff, factors in live:
+            part = Polynomial.one()
+            for slot, e in factors:
                 key = (slot, e)
                 pw = pow_cache.get(key)
                 if pw is None:
-                    pw = img ** e
+                    pw = images[slot] ** e
                     pow_cache[key] = pw
                 part = part * pw
             for m, c in part._terms.items():
@@ -717,10 +740,6 @@ class FactoredRational:
     @classmethod
     def zero(cls) -> "FactoredRational":
         return cls._raw(Polynomial.zero(), {}, 1)
-
-    def denominator_forms(self) -> list:
-        """The denominator multiset as (form, multiplicity), deterministic order."""
-        return [(LinearForm(dict(c)), m) for c, m in sorted(self.denominator.items())]
 
     def _denominator_poly(self) -> Polynomial:
         prod = Polynomial.one()

@@ -86,6 +86,13 @@ class EqClass:
                 clean[I] = p
         self._restrictions = clean
 
+    @staticmethod
+    def _make(shape: GrassmannianShape, restrictions: dict) -> "EqClass":
+        c = EqClass.__new__(EqClass)
+        c.shape = shape
+        c._restrictions = restrictions
+        return c
+
     def restriction(self, I) -> Polynomial:
         return self._restrictions.get(as_subset(I), Polynomial.zero())
 
@@ -122,10 +129,7 @@ class EqClass:
                 out[I] = nv
             else:
                 del out[I]
-        result = EqClass.__new__(EqClass)
-        result.shape = self.shape
-        result._restrictions = out
-        return result
+        return EqClass._make(self.shape, out)
 
     def __sub__(self, other) -> "EqClass":
         return self + (-other)
@@ -143,10 +147,7 @@ class EqClass:
                     nv = v * w
                     if nv:
                         out[I] = nv
-            result = EqClass.__new__(EqClass)
-            result.shape = self.shape
-            result._restrictions = out
-            return result
+            return EqClass._make(self.shape, out)
         scalar = _coerce(other)
         if scalar is NotImplemented:
             return NotImplemented
@@ -155,10 +156,7 @@ class EqClass:
             nv = v * scalar
             if nv:
                 out[I] = nv
-        result = EqClass.__new__(EqClass)
-        result.shape = self.shape
-        result._restrictions = out
-        return result
+        return EqClass._make(self.shape, out)
 
     __rmul__ = __mul__
 
@@ -620,36 +618,20 @@ def chern_class_taut(bundle: str, i: int, shape: GrassmannianShape) -> EqClass:
     return EqClass(shape, restrictions)
 
 
-def _series_mul(a: list[Polynomial], b: list[Polynomial], bound: int) -> list[Polynomial]:
-    out = [Polynomial.zero() for _ in range(bound + 1)]
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(bound + 1 - i):
-            bj = b[j]
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _series_inverse(a: list[Polynomial], bound: int) -> list[Polynomial]:
-    assert a[0] == 1, "series inversion needs constant term 1"
-    out = [Polynomial.one()]
-    for d in range(1, bound + 1):
-        acc = Polynomial.zero()
-        for j in range(1, d + 1):
-            if j < len(a) and a[j]:
-                acc = acc + a[j] * out[d - j]
-        out.append(-acc)
-    return out
-
-
-def _chern_series(indices, bound: int) -> list[Polynomial]:
-    forms = [LinearForm({j: 1}) for j in indices]
-    return [
-        elementary_symmetric(d, forms) if d <= len(forms) else Polynomial.zero()
-        for d in range(bound + 1)
-    ]
+def _chern_ratio(J: PivotSubset, m: int, n: int, bound: int) -> list[Polynomial]:
+    """Degrees 0..bound of prod_{a not in J, a > m} (1 + t_a) divided by
+    prod_{b in J, b <= m} (1 + t_b): multiply by 1 + t_a from the top degree
+    down, then divide by 1 + t_b from degree 1 up."""
+    series = [Polynomial.one()] + [Polynomial.zero()] * bound
+    for a in J.missing(n):
+        if a > m:
+            for d in range(bound, 0, -1):
+                series[d] = series[d] + t(a) * series[d - 1]
+    for b in J.elements:
+        if b <= m:
+            for d in range(1, bound + 1):
+                series[d] = series[d] - t(b) * series[d - 1]
+    return series
 
 
 def _det(matrix: list[list[Polynomial]]) -> Polynomial:
@@ -673,11 +655,15 @@ def _det(matrix: list[list[Polynomial]]) -> Polynomial:
 def kempf_laksov_class(lam, shape: GrassmannianShape) -> EqClass:
     """Determinantal (degeneracy locus) construction of a Schubert class.
 
-    At each fixed point the entry in row i, column j is the coefficient of
-    degree lambda_i + j - i in the Chern series of Q minus the trivial
-    bundle spanned by the first (n-k) - lambda_i + i coordinate lines; the
-    class is the k x k determinant of those entries.  Series are truncated
-    at degree lambda_1 + k - 1, the largest index the determinant reads.
+    At each fixed point J the entry in row i, column j is the coefficient of
+    degree lambda_i + j - i in the Chern series c(Q - C^m) of Q minus the
+    trivial bundle spanned by the first m = (n-k) - lambda_i + i coordinate
+    lines; the class is the k x k determinant of those entries.  Q has
+    weights t_a for a not in J, so the factors 1 + t_a with a <= m cancel and
+    c(Q - C^m) is prod_{a not in J, a > m} (1 + t_a) / prod_{b in J, b <= m}
+    (1 + t_b), computed by one recurrence per factor (`_chern_ratio`).
+    Series are truncated at degree lambda_1 + k - 1, the largest index the
+    determinant reads.
     """
     lam = as_partition(lam)
     if not lam.fits(shape):
@@ -686,22 +672,12 @@ def kempf_laksov_class(lam, shape: GrassmannianShape) -> EqClass:
     r = shape.n - shape.k
     padded = lam.padded(k)
     bound = padded[0] + k - 1
-    inverses = {}
-    for i in range(1, k + 1):
-        m = r - padded[i - 1] + i
-        if m not in inverses:
-            inverses[m] = _series_inverse(_chern_series(range(1, m + 1), bound), bound)
     restrictions = {}
     for J in shape.subsets():
-        q_series = _chern_series(J.missing(shape.n), bound)
         matrix = []
-        for i in range(1, k + 1):
-            m = r - padded[i - 1] + i
-            ratio = _series_mul(q_series, inverses[m], bound)
-            row = []
-            for j in range(1, k + 1):
-                p = padded[i - 1] + j - i
-                row.append(ratio[p] if 0 <= p <= bound else Polynomial.zero())
-            matrix.append(row)
+        for i, part in enumerate(padded, start=1):
+            ratio = _chern_ratio(J, r - part + i, shape.n, bound)
+            matrix.append([ratio[p] if 0 <= p <= bound else Polynomial.zero()
+                           for p in range(part + 1 - i, part + k + 1 - i)])
         restrictions[J] = _det(matrix)
     return EqClass(shape, restrictions)

@@ -254,6 +254,16 @@ def test_substitute_unmapped():
         (t(1) + t(2)).substitute({("t", 1): t(1)})
 
 
+def test_substitute_refuses_overflow_before_expanding():
+    # The image of the first term holds t2^80000; a term with a zero image
+    # contributes nothing, however large its factors' powers would be.
+    p = Polynomial.parse("t1^40000*t2^40000")
+    with pytest.raises(MonomialOverflow):
+        p.substitute({("t", 1): t(1) + t(2), ("t", 2): t(2)})
+    assert p.substitute({("t", 1): 0, ("t", 2): t(2) ** 2}) == 0
+    assert (p + t(1)).substitute({("t", 1): t(3), ("t", 2): 0}) == t(3)
+
+
 # ----------------------------------------------------------------- rendering
 
 def test_canonical_rendering():
