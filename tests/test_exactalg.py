@@ -255,8 +255,9 @@ def test_substitute_unmapped():
 
 
 def test_substitute_refuses_overflow_before_expanding():
-    # The image of the first term holds t2^80000; a term with a zero image
-    # contributes nothing, however large its factors' powers would be.
+    # The image of t1^40000*t2^40000 under t1 -> t1 + t2 holds t2^80000.  A
+    # term with a zero image contributes nothing, however large the powers
+    # of its other factors would be.
     p = Polynomial.parse("t1^40000*t2^40000")
     with pytest.raises(MonomialOverflow):
         p.substitute({("t", 1): t(1) + t(2), ("t", 2): t(2)})
