@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import permutations
+from itertools import combinations
 from math import lcm, prod
 from operator import or_
 from typing import Mapping
@@ -115,8 +115,7 @@ class EqClass:
         return self.shape == other.shape and self._restrictions == other._restrictions
 
     def __neg__(self) -> "EqClass":
-        out = {I: -v for I, v in self._restrictions.items()}
-        return EqClass(self.shape, out)
+        return EqClass._make(self.shape, {I: -v for I, v in self._restrictions.items()})
 
     def __add__(self, other) -> "EqClass":
         if not isinstance(other, EqClass):
@@ -349,9 +348,7 @@ class GKMGraph:
 
 def gkm_graph(shape: GrassmannianShape) -> GKMGraph:
     """Vertices are all pivot subsets; subsets differing in one element are
-    joined by an edge with weight t_j - t_i.  Tangent weights at every
-    vertex are checked to be pairwise non-proportional.
-    """
+    joined by an edge with weight t_j - t_i."""
     key = (shape.n, shape.k)
     hit = _GRAPH_CACHE.get(key)
     if hit is not None:
@@ -359,10 +356,6 @@ def gkm_graph(shape: GrassmannianShape) -> GKMGraph:
     vertices = tuple(shape.subsets())
     edges = []
     for I in vertices:
-        weights = tangent_weights(I, shape)
-        cores = {w.coeffs for w in weights}
-        if len(cores) != len(weights):
-            raise EqschubError(f"proportional tangent weights at {I}")
         outside = I.missing(shape.n)
         for i in I.elements:
             for j in outside:
@@ -566,12 +559,10 @@ def _top_degree_values(c: EqClass, dim: int) -> dict | None:
 
 def _top_degree_integral(c: EqClass, tops: dict) -> int:
     """Sum of c_dim(I)(p) / e_I(p) over one common integer denominator, from
-    the values c_dim(I)(p) of `_top_degree_values`; e_I is the
-    tangent-weight product at p."""
-    terms = [
-        (top, prod(w.sign * sum(a * i for i, a in w.coeffs) for w in tangent_weights(I, c.shape)))
-        for I, top in tops.items()
-    ]
+    the values c_dim(I)(p) of `_top_degree_values`; e_I(p) is the product of
+    the tangent weights t_j - t_i at p, that is of j - i."""
+    n = c.shape.n
+    terms = [(top, prod(j - i for i in I.elements for j in I.missing(n))) for I, top in tops.items()]
     common = lcm(*(euler for _, euler in terms))
     total, rest = divmod(sum(top * (common // euler) for top, euler in terms), common)
     if rest:
@@ -635,21 +626,24 @@ def _chern_ratio(J: PivotSubset, m: int, n: int, bound: int) -> list[Polynomial]
 
 
 def _det(matrix: list[list[Polynomial]]) -> Polynomial:
+    """Laplace expansion along each row from the bottom up.  The minor of
+    rows row..size-1 on an ascending column tuple is the alternating sum
+    over its positions p of entry (row, cols[p]) times the minor of the rows
+    below on cols without cols[p]; each minor is formed once."""
     size = len(matrix)
-    if size == 0:
-        return Polynomial.one()
-    total = Polynomial.zero()
-    for perm in permutations(range(size)):
-        inversions = sum(
-            1 for a in range(size) for b in range(a + 1, size) if perm[a] > perm[b]
-        )
-        prod = Polynomial.one()
-        for row in range(size):
-            prod = prod * matrix[row][perm[row]]
-            if not prod:
-                break
-        total = total - prod if inversions % 2 else total + prod
-    return total
+    minors = {(): Polynomial.one()}
+    for row in range(size - 1, -1, -1):
+        entries = matrix[row]
+        above = {}
+        for cols in combinations(range(size), size - row):
+            total = Polynomial.zero()
+            for p, c in enumerate(cols):
+                if entries[c]:
+                    term = entries[c] * minors[cols[:p] + cols[p + 1:]]
+                    total = total - term if p % 2 else total + term
+            above[cols] = total
+        minors = above
+    return minors[tuple(range(size))]
 
 
 def kempf_laksov_class(lam, shape: GrassmannianShape) -> EqClass:
@@ -663,7 +657,8 @@ def kempf_laksov_class(lam, shape: GrassmannianShape) -> EqClass:
     c(Q - C^m) is prod_{a not in J, a > m} (1 + t_a) / prod_{b in J, b <= m}
     (1 + t_b), computed by one recurrence per factor (`_chern_ratio`).
     Series are truncated at degree lambda_1 + k - 1, the largest index the
-    determinant reads.
+    determinant reads.  The determinant is a Laplace expansion over shared
+    minors (`_det`): k * 2^(k-1) entry products, not k * k!.
     """
     lam = as_partition(lam)
     if not lam.fits(shape):

@@ -10,7 +10,8 @@ substituting t_i -> t_{n+1-i}.  The moment-graph test divides each edge's
 difference by its weight and certifies the verdict by multiplying back, and
 the integral takes one rational sum over the fixed points.  The Graham
 positivity certificate substitutes t_i -> t_n - (y_i + ... + y_{n-1}) all at
-once with the generic `Polynomial.substitute`.
+once with the generic `Polynomial.substitute`.  The determinant is the
+sum over all permutations of signed products of entries.
 
 The `tuple_*` functions are the polynomial arithmetic in the engine's former
 monomial layout: a tuple of ((rank, index), exponent) pairs sorted by
@@ -22,6 +23,7 @@ exponent or an index.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
 
 import sympy
 
@@ -366,3 +368,17 @@ def certificate_by_substitution(p, n: int | None = None) -> PositivityCertificat
         if coeff < 0:
             return PositivityCertificate(False, expansion, f"negative coefficient: {term}")
     return PositivityCertificate(True, expansion, None)
+
+
+def det_by_permutations(matrix) -> Polynomial:
+    """The determinant as the sum over all permutations of the columns of
+    the signed product of one entry per row; 1 for the empty matrix."""
+    size = len(matrix)
+    total = Polynomial.zero()
+    for perm in permutations(range(size)):
+        inversions = sum(1 for a in range(size) for b in range(a + 1, size) if perm[a] > perm[b])
+        term = Polynomial.one()
+        for row in range(size):
+            term = term * matrix[row][perm[row]]
+        total = total - term if inversions % 2 else total + term
+    return total

@@ -8,6 +8,7 @@ from eqschub.cli import parse_class_expr
 from eqschub.exactalg import MonomialOverflow, NotPolynomial, Polynomial, t, y
 from eqschub.gkmgrass import (
     EqClass,
+    _det,
     NotInSpan,
     ShapeMismatch,
     chern_class_taut,
@@ -38,6 +39,7 @@ from eqschub.ytcomb import (
 
 from oracles import (
     certificate_by_substitution,
+    det_by_permutations,
     gkm_check_by_division,
     integrate_by_rational_sum,
     opposite_by_substitution,
@@ -291,10 +293,16 @@ def test_gkm_graph_counts():
 def test_gkm_graph_edge_weights_in_tangent_spaces():
     from eqschub.ytcomb import tangent_weights
 
-    for shape in (GR24, GrassmannianShape(5, 2)):
+    for shape in UP_TO_N7:
+        cores = {I: [] for I in shape.subsets()}
         for I, J, w in gkm_graph(shape).edges:
             assert w in tangent_weights(I, shape)
             assert -w in tangent_weights(J, shape)
+            cores[I].append(w.core())
+            cores[J].append(w.core())
+        for I, at_vertex in cores.items():
+            # every tangent direction has its own edge, and no two are proportional
+            assert len(set(at_vertex)) == len(at_vertex) == shape.dimension, (shape, I)
 
 
 def test_gkm_graph_incident_weights_are_tangent_weights():
@@ -825,6 +833,29 @@ def test_kempf_laksov_empty_shape():
 def test_kempf_laksov_box_2x2():
     for lam in GR24.partitions():
         assert kempf_laksov_class(lam, GR24) == schubert_class(lam, GR24), lam
+
+
+@st.composite
+def _square_matrices(draw):
+    """Square matrices of size 0-5 whose entries are small t-polynomials
+    with signed coefficients, about a third of them zero."""
+    size = draw(st.integers(0, 5))
+
+    def entry():
+        if not draw(st.integers(0, 2)):
+            return Polynomial.zero()
+        total = Polynomial.integer(draw(st.integers(-3, 3)))
+        for _ in range(draw(st.integers(0, 2))):
+            total = total + draw(st.integers(-3, 3)) * t(draw(st.integers(1, 4))) ** draw(st.integers(1, 2))
+        return total
+
+    return [[entry() for _ in range(size)] for _ in range(size)]
+
+
+@given(_square_matrices())
+@settings(max_examples=150, deadline=None)
+def test_det_matches_permutation_sum(matrix):
+    assert _det(matrix) == det_by_permutations(matrix)
 
 
 def test_kempf_laksov_box_check():
