@@ -200,7 +200,8 @@ def test_criterion_08_kempf_laksov():
     failures = []
     start = time.perf_counter()
     shapes = [(n, k) for n in range(2, 7) for k in range(1, n)] + [(7, 2), (7, 3)]
-    cases = [(GrassmannianShape(n, k), lam) for n, k in shapes for lam in GrassmannianShape(n, k).partitions()]
+    cases = [(GrassmannianShape(n, k), lam)
+             for n, k in shapes for lam in GrassmannianShape(n, k).partitions()]
     gr48 = GrassmannianShape(8, 4)
     cases += [(gr48, Partition(parts)) for parts in ((1,), (2, 1), (3, 2, 1), (2, 2, 1, 1))]
     for shape, lam in cases:

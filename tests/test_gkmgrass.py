@@ -8,9 +8,9 @@ from eqschub.cli import parse_class_expr
 from eqschub.exactalg import MonomialOverflow, NotPolynomial, Polynomial, t, y
 from eqschub.gkmgrass import (
     EqClass,
-    _det,
     NotInSpan,
     ShapeMismatch,
+    _det,
     chern_class_taut,
     constant_class,
     euler_class,
