@@ -236,13 +236,20 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        out = dict(self._terms)
+        for m, c in other._terms.items():
+            nc = out.get(m, 0) - c
+            if nc:
+                out[m] = nc
+            else:
+                del out[m]
+        return Polynomial._make(out)
 
     def __rsub__(self, other) -> "Polynomial":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other) -> "Polynomial":
         other = _coerce(other)

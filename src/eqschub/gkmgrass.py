@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from math import lcm, prod
+from math import comb, lcm, prod
 from operator import or_
 from typing import Mapping
 
@@ -30,11 +30,13 @@ from .exactalg import (
     ratf_sum,
     ratf_to_polynomial,
     t,
+    _T,
     _T_FIELDS,
     _agree_at_diagonal,
     _coerce,
     _difference_chain,
     _exponents,
+    _shift,
 )
 from .ytcomb import (
     DoesNotFitBox,
@@ -68,9 +70,17 @@ class EqClass:
     """A cohomology class given by its polynomial value at each fixed point.
 
     Zero restrictions are not stored; rendering materializes all of them.
+
+    A class built by `schubert_class`, `opposite_schubert_class`,
+    `constant_class`, `projective_zeta` or `chern_class_taut`, or from such
+    classes by +, -, * (by a class or a scalar) and **, carries a private
+    mark: it is a Z[t]-combination of Schubert classes, so it passes
+    `gkm_check`, and `integrate` skips that check for it.  A class given by
+    its restrictions (`EqClass(...)`, `from_json_dict`) carries no mark, and
+    neither does anything built from it.  `==` ignores the mark.
     """
 
-    __slots__ = ("shape", "_restrictions")
+    __slots__ = ("shape", "_restrictions", "_gkm")
 
     def __init__(self, shape: GrassmannianShape, restrictions: Mapping):
         self.shape = shape
@@ -85,12 +95,14 @@ class EqClass:
             if p:
                 clean[I] = p
         self._restrictions = clean
+        self._gkm = False
 
     @staticmethod
-    def _make(shape: GrassmannianShape, restrictions: dict) -> "EqClass":
+    def _make(shape: GrassmannianShape, restrictions: dict, gkm: bool = False) -> "EqClass":
         c = EqClass.__new__(EqClass)
         c.shape = shape
         c._restrictions = restrictions
+        c._gkm = gkm
         return c
 
     def restriction(self, I) -> Polynomial:
@@ -115,7 +127,7 @@ class EqClass:
         return self.shape == other.shape and self._restrictions == other._restrictions
 
     def __neg__(self) -> "EqClass":
-        return EqClass._make(self.shape, {I: -v for I, v in self._restrictions.items()})
+        return EqClass._make(self.shape, {I: -v for I, v in self._restrictions.items()}, self._gkm)
 
     def __add__(self, other) -> "EqClass":
         if not isinstance(other, EqClass):
@@ -128,7 +140,7 @@ class EqClass:
                 out[I] = nv
             else:
                 del out[I]
-        return EqClass._make(self.shape, out)
+        return EqClass._make(self.shape, out, self._gkm and other._gkm)
 
     def __sub__(self, other) -> "EqClass":
         return self + (-other)
@@ -146,7 +158,7 @@ class EqClass:
                     nv = v * w
                     if nv:
                         out[I] = nv
-            return EqClass._make(self.shape, out)
+            return EqClass._make(self.shape, out, self._gkm and other._gkm)
         scalar = _coerce(other)
         if scalar is NotImplemented:
             return NotImplemented
@@ -155,7 +167,7 @@ class EqClass:
             nv = v * scalar
             if nv:
                 out[I] = nv
-        return EqClass._make(self.shape, out)
+        return EqClass._make(self.shape, out, self._gkm)
 
     __rmul__ = __mul__
 
@@ -210,8 +222,14 @@ class EqClass:
         return f"EqClass(Gr({self.shape.k},{self.shape.n}), {len(self._restrictions)} nonzero)"
 
 
+def _marked(c: EqClass) -> EqClass:
+    """c, marked as a Z[t]-combination of Schubert classes by construction."""
+    c._gkm = True
+    return c
+
+
 def constant_class(shape: GrassmannianShape, value) -> EqClass:
-    return EqClass(shape, {I: value for I in shape.subsets()})
+    return _marked(EqClass(shape, {I: value for I in shape.subsets()}))
 
 
 _SCHUBERT_CACHE: dict = {}
@@ -295,7 +313,7 @@ def schubert_class(lam, shape: GrassmannianShape) -> EqClass:
         J: _excited_sum(lam, subset_to_partition(J, shape), J.elements, J.missing(shape.n)[::-1])
         for J in shape.subsets()
     }
-    result = EqClass(shape, restrictions)
+    result = _marked(EqClass(shape, restrictions))
     _SCHUBERT_CACHE[key] = result
     return result
 
@@ -326,7 +344,7 @@ def opposite_schubert_class(lam, shape: GrassmannianShape) -> EqClass:
         )
         for J in shape.subsets()
     }
-    return EqClass(shape, restrictions)
+    return _marked(EqClass(shape, restrictions))
 
 
 @dataclass(frozen=True)
@@ -516,22 +534,37 @@ def _term_text(mono, coeff) -> str:
 def integrate(c: EqClass) -> Polynomial:
     """Sum of restriction / tangent-weight-product over all fixed points.
 
-    A class with t-polynomial restrictions of degree at most dim = k(n-k)
-    that passes `gkm_check` is a Z[t]-combination of Schubert classes, so
-    its integral is a polynomial: components of degree below dim integrate
-    to 0 and the degree-dim component to an integer, read off exactly at
-    one integer point.  Every other class goes through the rational sum,
-    which must clear its denominator; when it does not, the class was not
-    in the image of the restriction map.
+    A class with t-polynomial restrictions that is a Z[t]-combination of
+    Schubert classes (it passes `gkm_check`, or carries the mark of a class
+    built from Schubert classes, see `EqClass`) integrates to a polynomial,
+    and the integral of the Schubert class of lam is 1 for the full box and
+    0 otherwise.  Three routes follow:
+
+    - degree at most dim = k(n-k): components of degree below dim
+      integrate to 0 and the degree-dim component to an integer, read off
+      exactly at one integer point;
+    - degree above dim, nonzero at no more than half of the fixed points:
+      the coefficient of the full box in `expand_in_basis`;
+    - everything else, and a class that fails the first two routes'
+      membership tests: the rational sum, which must clear its
+      denominator; when it does not, the class was not in the image of the
+      restriction map.
+
+    Basis expansion beats the rational sum on sparse classes and loses on
+    dense ones (a power of sigma_1 is nonzero at every point but one).
     """
-    dim = c.shape.dimension
-    tops = _top_degree_values(c, dim)
-    if (
-        tops is not None
-        and not reduce(or_, (m for _, v in c.items() for m, _ in v.items()), 0) & ~_T_FIELDS
-        and gkm_check(c).ok
-    ):
-        return Polynomial.integer(_top_degree_integral(c, tops))
+    shape = c.shape
+    if not reduce(or_, (m for _, v in c.items() for m, _ in v.items()), 0) & ~_T_FIELDS:
+        tops = _top_degree_values(c, shape.dimension)
+        if tops is not None:
+            if c._gkm or gkm_check(c).ok:
+                return Polynomial.integer(_top_degree_integral(c, tops))
+        elif 2 * len(c._restrictions) <= comb(shape.n, shape.k):
+            box = Partition((shape.box_width,) * shape.k)
+            try:
+                return expand_in_basis(c).coeffs.get(box, Polynomial.zero())
+            except NotInSpan:
+                pass
     pieces = []
     for I in c.support():
         pieces.append(FactoredRational(c.restriction(I), tangent_weights(I, c.shape)))
@@ -576,10 +609,10 @@ def projective_zeta(n: int) -> EqClass:
     if n < 2:
         raise ValueError("need n >= 2")
     shape = GrassmannianShape(n, 1)
-    return EqClass(
+    return _marked(EqClass(
         shape,
         {PivotSubset((i,)): -Polynomial.variable("t", i) for i in range(1, n + 1)},
-    )
+    ))
 
 
 _BUNDLES = ("S", "S_dual", "Q")
@@ -606,23 +639,36 @@ def chern_class_taut(bundle: str, i: int, shape: GrassmannianShape) -> EqClass:
         else:
             forms = [LinearForm({j: 1}) for j in J.missing(shape.n)]
         restrictions[J] = elementary_symmetric(i, forms)
-    return EqClass(shape, restrictions)
+    return _marked(EqClass(shape, restrictions))
 
 
 def _chern_ratio(J: PivotSubset, m: int, n: int, bound: int) -> list[Polynomial]:
     """Degrees 0..bound of prod_{a not in J, a > m} (1 + t_a) divided by
     prod_{b in J, b <= m} (1 + t_b): multiply by 1 + t_a from the top degree
-    down, then divide by 1 + t_b from degree 1 up."""
+    down, then divide by 1 + t_b from degree 1 up.
+
+    A product by t_a adds the field bit of t_a to every monomial, with no
+    overflow check: series[d] has degree d, so no exponent exceeds bound =
+    lambda_1 + k - 1 <= n - 1 <= 31 (t indices stop at 32), far below the
+    65535 a field holds.
+    """
     series = [Polynomial.one()] + [Polynomial.zero()] * bound
     for a in J.missing(n):
         if a > m:
+            bit = 1 << _shift(_T, a)
             for d in range(bound, 0, -1):
-                series[d] = series[d] + t(a) * series[d - 1]
+                series[d] = series[d] + _shifted(series[d - 1], bit)
     for b in J.elements:
         if b <= m:
+            bit = 1 << _shift(_T, b)
             for d in range(1, bound + 1):
-                series[d] = series[d] - t(b) * series[d - 1]
+                series[d] = series[d] - _shifted(series[d - 1], bit)
     return series
+
+
+def _shifted(p: Polynomial, bit: int) -> Polynomial:
+    """p times the variable whose exponent field starts at bit."""
+    return Polynomial._make({m + bit: c for m, c in p.items()})
 
 
 def _det(matrix: list[list[Polynomial]]) -> Polynomial:

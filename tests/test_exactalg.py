@@ -388,6 +388,10 @@ def test_packed_ring_ops_match_tuple_oracle(a, b):
     # Plain int order is the tuple order, which positivity witnesses follow.
     assert [next(iter(tuple_terms(Polynomial({m: 1})))) for m, _ in sorted(pa.items())] == sorted(a)
     assert tuple_terms(pa + pb) == tuple_add(a, b)
+    difference = tuple_add(a, {m: -c for m, c in b.items()})
+    assert tuple_terms(pa - pb) == difference
+    assert str(pa - pb) == tuple_str(difference)
+    assert tuple_terms(3 - pa) == tuple_add({(): 3}, {m: -c for m, c in a.items()})
     product = tuple_mul(a, b)
     if tuple_max_exponent(product) > MAX_EXPONENT:
         with pytest.raises(MonomialOverflow):

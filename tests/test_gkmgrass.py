@@ -254,6 +254,61 @@ def test_gkm_closure_sampled_on_larger_spaces():
             assert gkm_check(schubert_class(lam, shape) + product).ok
 
 
+@st.composite
+def _marked_expressions(draw, shape):
+    """A random ring expression in classes that carry the GKM mark."""
+
+    def leaf():
+        kinds = ["schubert", "opposite", "constant", "chern"] + (["zeta"] if shape.k == 1 else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "schubert":
+            return schubert_class(draw(st.sampled_from(shape.partitions())), shape)
+        if kind == "opposite":
+            return opposite_schubert_class(draw(st.sampled_from(shape.partitions())), shape)
+        if kind == "constant":
+            return constant_class(shape, draw(st.integers(-3, 3)))
+        if kind == "zeta":
+            return projective_zeta(shape.n)
+        bundle = draw(st.sampled_from(("S", "S_dual", "Q")))
+        rank = shape.k if bundle != "Q" else shape.n - shape.k
+        return chern_class_taut(bundle, draw(st.integers(0, rank)), shape)
+
+    c = leaf()
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(("+", "-", "*", "scalar", "pow", "neg")))
+        if op == "+":
+            c = c + leaf()
+        elif op == "-":
+            c = c - leaf()
+        elif op == "*":
+            c = leaf() * c if draw(st.booleans()) else c * leaf()
+        elif op == "scalar":
+            scalar = draw(st.sampled_from((-2, 3, t(1) - t(shape.n), t(2) * t(2) + 1)))
+            c = scalar * c if draw(st.booleans()) else c * scalar
+        elif op == "pow":
+            c = c ** draw(st.integers(0, 2))
+        else:
+            c = -c
+    return c
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_marked_expressions_stay_marked_and_pass_gkm(data):
+    shape = data.draw(st.sampled_from((GrassmannianShape(4, 1), GR24, GR25, GR36)))
+    c = data.draw(_marked_expressions(shape))
+    assert c._gkm
+    assert gkm_check(c).ok
+    # The same values given directly carry no mark, and neither does any
+    # expression with such an operand; == ignores the mark.
+    plain = EqClass(shape, dict(c.items()))
+    assert plain == c and not plain._gkm
+    assert not EqClass.from_json_dict(c.to_json_dict())._gkm
+    other = schubert_class(data.draw(st.sampled_from(shape.partitions())), shape)
+    for mixed in (c + plain, plain - other, other * plain, plain * 2, plain ** 1, -plain):
+        assert not mixed._gkm
+
+
 def test_parallel_construction_is_deterministic():
     from concurrent.futures import ThreadPoolExecutor
 
@@ -407,6 +462,36 @@ def test_integrate_perturbed_top_degree_class_keeps_message():
     for shape, site in ((GR24, (1, 3)), (GR25, (2, 5)), (GR36, (1, 4, 6))):
         top = schubert_class((1,), shape) ** shape.dimension
         bad = top + EqClass(shape, {site: t(1) ** shape.dimension})
+        with pytest.raises(NotPolynomial) as expected:
+            integrate_by_rational_sum(bad)
+        with pytest.raises(NotPolynomial) as got:
+            integrate(bad)
+        assert str(got.value) == str(expected.value)
+
+
+def test_integrate_matches_rational_sum_above_dim_on_gr36():
+    # Products of degree above dim are sparse and go through the basis
+    # expansion; the sigma_1 powers are dense and keep the rational sum.
+    lams = GR36.partitions()
+    products = [
+        schubert_class(lam, GR36) * schubert_class(mu, GR36)
+        for i, lam in enumerate(lams)
+        for mu in lams[i:]
+        if lam.weight + mu.weight > GR36.dimension
+    ]
+    assert len(products) == 93
+    sigma1 = schubert_class((1,), GR36)
+    for c in products + [sigma1 ** 10, sigma1 ** 11]:
+        assert integrate(c) == integrate_by_rational_sum(c)
+
+
+def test_integrate_perturbed_sparse_class_above_dim_keeps_message():
+    for lam, mu, site in (((3, 2), (3, 3, 1), (1, 2, 3)), ((3, 3), (3, 3, 2), (2, 3, 6))):
+        c = schubert_class(lam, GR36) * schubert_class(mu, GR36)
+        bad = c + EqClass(GR36, {site: t(1) ** 10})
+        assert 2 * len(bad.support()) <= len(GR36.subsets())
+        with pytest.raises(NotInSpan):
+            expand_in_basis(bad)
         with pytest.raises(NotPolynomial) as expected:
             integrate_by_rational_sum(bad)
         with pytest.raises(NotPolynomial) as got:

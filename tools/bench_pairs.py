@@ -4,6 +4,8 @@
         --seeds 1-10 --seconds 15 --out BENCH_6.json
     python3 tools/bench_pairs.py build BASE CHANGE --shape 8,4 --repeats 1 --out BENCH_6.json
     python3 tools/bench_pairs.py verify BASE CHANGE --repeats 5 --out BENCH_7.json
+    python3 tools/bench_pairs.py integrate BASE CHANGE --shape 6,3 --class 's1^14' \
+        --repeats 5 --out BENCH_11.json
 
 BASE and CHANGE are the roots of two checkouts, for example a clone of the
 parent commit and one of the change.  `workload` runs `perfbench/run.py` in
@@ -13,7 +15,10 @@ src/eqschub/*.py, so two checkouts of one commit with different sources can
 be told apart.  `build` times building every Schubert class of Gr(k, n) in a
 fresh interpreter on each side, alternating the same way.  `verify` times
 the wall clock of `eqschub verify --suite gkm` in a fresh interpreter on each
-side, alternating the same way, and requires it to pass.  Each metric gets each
+side, alternating the same way, and requires it to pass.  `integrate` times
+the wall clock of `eqschub integrate --n N --k K --class EXPR` in a fresh
+interpreter on each side, alternating the same way, and requires both sides
+to print the same stdout.  Each metric gets each
 side's median and quartiles, all of its runs, and the number of pairs the
 change won (ties count for neither side); the direction of "better" comes
 from the change's BENCHMARK.json.  Results merge into the --out file, so one
@@ -144,22 +149,46 @@ def run_verify(args) -> dict:
     return {"unit": "s", **compare([b for b, _ in pairs], [c for _, c in pairs], "lower")}
 
 
+def run_integrate(args) -> dict:
+    n, k = args.shape
+    argv = [sys.executable, "-m", "eqschub", "integrate", "--n", str(n), "--k", str(k),
+            "--class", args.cls]
+    outputs = set()
+
+    def run(root: Path) -> float:
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        start = time.perf_counter()
+        out = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, check=True)
+        elapsed = time.perf_counter() - start
+        outputs.add(out.stdout)
+        return elapsed
+
+    pairs = [alternate(i, args.base, args.change, run) for i in range(args.repeats)]
+    if len(outputs) != 1:
+        raise SystemExit(f"integrate {args.cls} on Gr({k},{n}): the sides print different stdout")
+    return {"unit": "s", "stdout": outputs.pop(),
+            **compare([b for b, _ in pairs], [c for _, c in pairs], "lower")}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     modes = parser.add_subparsers(dest="mode", required=True)
     workload = modes.add_parser("workload", help="paired perfbench/run.py runs")
     build = modes.add_parser("build", help="paired builds of all Schubert classes")
     verify = modes.add_parser("verify", help="paired runs of the gkm verify suite")
-    for sub in (workload, build, verify):
+    integrate = modes.add_parser("integrate", help="paired runs of eqschub integrate")
+    for sub in (workload, build, verify, integrate):
         sub.add_argument("base", type=Path)
         sub.add_argument("change", type=Path)
         sub.add_argument("--out", type=Path, required=True)
     workload.add_argument("--workload", required=True)
     workload.add_argument("--seeds", type=parse_seeds, required=True)
     workload.add_argument("--seconds", type=float, default=15.0)
-    build.add_argument("--shape", required=True, help="n,k of the Grassmannian",
-                       type=lambda s: tuple(int(v) for v in s.split(",")))
-    for sub in (build, verify):
+    for sub in (build, integrate):
+        sub.add_argument("--shape", required=True, help="n,k of the Grassmannian",
+                         type=lambda s: tuple(int(v) for v in s.split(",")))
+    integrate.add_argument("--class", dest="cls", required=True, help="class expression")
+    for sub in (build, verify, integrate):
         sub.add_argument("--repeats", type=int, default=1)
     args = parser.parse_args(argv)
     args.base, args.change = args.base.resolve(), args.change.resolve()
@@ -177,6 +206,10 @@ def main(argv=None) -> int:
     elif args.mode == "verify":
         entry = run_verify(args)
         report["verify_gkm"] = {**sides, **entry}
+    elif args.mode == "integrate":
+        n, k = args.shape
+        entry = run_integrate(args)
+        report.setdefault("integrals", {})[f"Gr({k},{n}) {args.cls}"] = {**sides, **entry}
     else:
         n, k = args.shape
         entry = run_build(args)
