@@ -136,14 +136,19 @@ def run_build(args) -> dict:
             **compare([b for (b, _), _ in pairs], [c for _, (c, _) in pairs], "lower")}
 
 
-def run_verify(args) -> dict:
-    argv = [sys.executable, "-m", "eqschub", "verify", "--suite", "gkm"]
+def timed_cli(root: Path, argv: list[str]) -> tuple[float, str]:
+    """Wall clock and stdout of one `eqschub` command run from root's sources
+    in a fresh interpreter; a nonzero exit status raises."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "eqschub", *argv], cwd=root, env=env,
+                         capture_output=True, text=True, check=True)
+    return time.perf_counter() - start, out.stdout
 
+
+def run_verify(args) -> dict:
     def run(root: Path) -> float:
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        start = time.perf_counter()
-        subprocess.run(argv, cwd=root, env=env, capture_output=True, check=True)
-        return time.perf_counter() - start
+        return timed_cli(root, ["verify", "--suite", "gkm"])[0]
 
     pairs = [alternate(i, args.base, args.change, run) for i in range(args.repeats)]
     return {"unit": "s", **compare([b for b, _ in pairs], [c for _, c in pairs], "lower")}
@@ -151,23 +156,14 @@ def run_verify(args) -> dict:
 
 def run_integrate(args) -> dict:
     n, k = args.shape
-    argv = [sys.executable, "-m", "eqschub", "integrate", "--n", str(n), "--k", str(k),
-            "--class", args.cls]
-    outputs = set()
-
-    def run(root: Path) -> float:
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        start = time.perf_counter()
-        out = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, check=True)
-        elapsed = time.perf_counter() - start
-        outputs.add(out.stdout)
-        return elapsed
-
-    pairs = [alternate(i, args.base, args.change, run) for i in range(args.repeats)]
+    argv = ["integrate", "--n", str(n), "--k", str(k), "--class", args.cls]
+    pairs = [alternate(i, args.base, args.change, lambda root: timed_cli(root, argv))
+             for i in range(args.repeats)]
+    outputs = {out for side in pairs for _, out in side}
     if len(outputs) != 1:
         raise SystemExit(f"integrate {args.cls} on Gr({k},{n}): the sides print different stdout")
     return {"unit": "s", "stdout": outputs.pop(),
-            **compare([b for b, _ in pairs], [c for _, c in pairs], "lower")}
+            **compare([b for (b, _), _ in pairs], [c for _, (c, _) in pairs], "lower")}
 
 
 def main(argv=None) -> int:
