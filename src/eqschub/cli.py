@@ -4,15 +4,27 @@ Subcommands: schur, class, mult, lr, integrate, gkm-check, gkm-graph,
 kl-verify, verify.  Exit status is 0 on success, 1 on a domain or usage
 error, 2 on a verification failure.  JSON output uses sorted keys and
 compact separators so it is byte-stable across runs.
+
+Parsing: every subcommand and its options are declared once, in
+`COMMANDS`.  `main` reads a well-formed command line straight from that
+table (`parse_table`): the command name, then exact `--flag value` pairs
+or bare flags, each option at most once, every required option present,
+no value that starts with `-`, `int()` accepting every int value and each
+choice among its choices.  Any other command line (help flags,
+abbreviations, `--opt=value`, repeats, a missing option, a bad value, an
+unknown token) goes to the argparse parser that `build_parser` builds from
+the same table.  So argparse alone writes help and usage text, and a
+well-formed call neither imports nor builds it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from math import comb
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .exactalg import MAX_EXPONENT, MAX_INDEX, EqschubError, ParseError
 from .gkmgrass import (
@@ -37,14 +49,6 @@ VERIFY_FAILURE = 2
 # MAX_FIXED_POINTS of them; it refuses any other shape before it builds
 # anything.  The library API has no such bound.
 MAX_FIXED_POINTS = 10_000
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage errors exit with the domain-error status."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(DOMAIN_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _parse_partition(text: str) -> Partition:
@@ -224,7 +228,7 @@ def _cmd_class(args) -> int:
     return 0
 
 
-def _cmd_lr(args, json_default: bool) -> int:
+def _cmd_products(args, as_json: bool) -> int:
     shape = _shape_from(args)
     lam = _parse_partition(args.a)
     mu = _parse_partition(args.b)
@@ -234,7 +238,7 @@ def _cmd_lr(args, json_default: bool) -> int:
     )
     payload = dict(expansion.to_json_dict())
     payload["positive"] = positive
-    if args.json or json_default:
+    if as_json:
         _emit(_json_text(payload), args)
     else:
         lines = [f"{nu}: {coeff}" for nu, coeff in sorted(
@@ -242,6 +246,14 @@ def _cmd_lr(args, json_default: bool) -> int:
         lines.append(f"positive: {'true' if positive else 'false'}")
         _emit("\n".join(lines), args)
     return 0
+
+
+def _cmd_mult(args) -> int:
+    return _cmd_products(args, as_json=args.json)
+
+
+def _cmd_lr(args) -> int:
+    return _cmd_products(args, as_json=True)
 
 
 def _cmd_integrate(args) -> int:
@@ -332,80 +344,161 @@ def _cmd_verify(args) -> int:
     return 0 if report["ok"] else VERIFY_FAILURE
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="eqschub", description=__doc__)
+# ---------------------------------------------------------------- option table
+
+class Option(NamedTuple):
+    """One option of a subcommand.  `kind` is "int", "str", "flag" (no
+    value; False unless given) or "choice" (one of `choices`)."""
+
+    flag: str
+    dest: str
+    kind: str = "str"
+    required: bool = False
+    help: str | None = None
+    metavar: str | None = None
+    choices: tuple[str, ...] = ()
+    default: str | None = None
+
+
+class Command(NamedTuple):
+    """One subcommand: its help line, its options in help order, the handler
+    that runs it, and the dests of which exactly one must be given."""
+
+    help: str
+    options: tuple[Option, ...]
+    handler: Callable
+    one_of: tuple[str, ...] = ()
+
+
+_SHAPE_OPTIONS = (
+    Option("--n", "n", "int", required=True),
+    Option("--k", "k", "int", required=True),
+    Option("--json", "json", "flag", help="machine-readable output"),
+    Option("--out", "out", help="write output to FILE", metavar="FILE"),
+)
+_FACTORS = (Option("--a", "a", required=True), Option("--b", "b", required=True))
+
+COMMANDS = {
+    "schur": Command("double Schur polynomial, restriction, or ordinary limit", (
+        Option("--shape", "shape", required=True, help="partition, e.g. 2,1 (0 for empty)"),
+        Option("--k", "k", "int", required=True, help="number of x variables"),
+        Option("--restrict-to", "restrict_to",
+               help="partition of the fixed point to evaluate at"),
+        Option("--n", "n", "int", help="ambient dimension, needed with --restrict-to"),
+        Option("--ordinary", "ordinary", "flag", help="set every u variable to zero"),
+        Option("--json", "json", "flag"),
+        Option("--out", "out", metavar="FILE"),
+    ), _cmd_schur),
+    "class": Command("restrictions of a Schubert class",
+                     _SHAPE_OPTIONS + (Option("--shape", "shape", required=True),), _cmd_class),
+    "mult": Command("product expansion with positivity report",
+                    _SHAPE_OPTIONS + _FACTORS, _cmd_mult),
+    "lr": Command("structure constants as JSON", _SHAPE_OPTIONS + _FACTORS, _cmd_lr),
+    "integrate": Command("fixed-point integral of a class expression", _SHAPE_OPTIONS + (
+        Option("--class", "cls", required=True,
+               help="expression in s<partition>, zeta, integers, + - * ^"),
+    ), _cmd_integrate),
+    "gkm-check": Command("edge divisibility test for a class", _SHAPE_OPTIONS + (
+        Option("--class", "cls", help="class expression"),
+        Option("--in", "infile", help="class JSON file", metavar="FILE"),
+    ), _cmd_gkm_check, one_of=("cls", "infile")),
+    "gkm-graph": Command("vertices and weighted edges of the moment graph",
+                         _SHAPE_OPTIONS, _cmd_gkm_graph),
+    "kl-verify": Command("determinantal classes against Schubert classes",
+                         _SHAPE_OPTIONS, _cmd_kl_verify),
+    "verify": Command("batch verification suites", (
+        Option("--suite", "suite", "choice", choices=("all",) + SUITE_NAMES, default="all"),
+        Option("--json", "json", "flag"),
+        Option("--out", "out", metavar="FILE"),
+    ), _cmd_verify),
+}
+
+
+def parse_table(argv) -> dict | None:
+    """The options of a well-formed command line (see the module docstring)
+    exactly as `vars(build_parser().parse_args(argv))` holds them, or None
+    for any other command line."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command = COMMANDS[argv[0]]
+    by_flag = {opt.flag: opt for opt in command.options}
+    values = {opt.dest: False if opt.kind == "flag" else opt.default for opt in command.options}
+    values.update(command=argv[0], func=command.handler)
+    seen = set()
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        opt = by_flag.get(flag)
+        if opt is None or opt.dest in seen:
+            return None
+        seen.add(opt.dest)
+        if opt.kind == "flag":
+            values[opt.dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if opt.kind == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif opt.kind == "choice" and value not in opt.choices:
+            return None
+        values[opt.dest] = value
+    if any(opt.required and opt.dest not in seen for opt in command.options):
+        return None
+    if command.one_of and len(seen.intersection(command.one_of)) != 1:
+        return None
+    return values
+
+
+def build_parser():
+    """The argparse parser of every command in `COMMANDS`, for the command
+    lines `parse_table` declines; it writes all help and usage text."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """argparse variant whose usage errors exit with the domain-error status."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(DOMAIN_ERROR, f"{self.prog}: error: {message}\n")
+
+    # The help text describes the commands: the module docstring up to its parsing notes.
+    description = (__doc__ or "").partition("\n\nParsing:")[0] or None
+    parser = Parser(prog="eqschub", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, shape_flags=True):
-        if shape_flags:
-            p.add_argument("--n", type=int, required=True)
-            p.add_argument("--k", type=int, required=True)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--out", metavar="FILE", help="write output to FILE")
-
-    p = sub.add_parser("schur", help="double Schur polynomial, restriction, or ordinary limit")
-    p.add_argument("--shape", required=True, help="partition, e.g. 2,1 (0 for empty)")
-    p.add_argument("--k", type=int, required=True, help="number of x variables")
-    p.add_argument("--restrict-to", help="partition of the fixed point to evaluate at")
-    p.add_argument("--n", type=int, help="ambient dimension, needed with --restrict-to")
-    p.add_argument("--ordinary", action="store_true", help="set every u variable to zero")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=_cmd_schur)
-
-    p = sub.add_parser("class", help="restrictions of a Schubert class")
-    add_common(p)
-    p.add_argument("--shape", required=True)
-    p.set_defaults(func=_cmd_class)
-
-    p = sub.add_parser("mult", help="product expansion with positivity report")
-    add_common(p)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(func=lambda a: _cmd_lr(a, json_default=False))
-
-    p = sub.add_parser("lr", help="structure constants as JSON")
-    add_common(p)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(func=lambda a: _cmd_lr(a, json_default=True))
-
-    p = sub.add_parser("integrate", help="fixed-point integral of a class expression")
-    add_common(p)
-    p.add_argument("--class", dest="cls", required=True,
-                   help="expression in s<partition>, zeta, integers, + - * ^")
-    p.set_defaults(func=_cmd_integrate)
-
-    p = sub.add_parser("gkm-check", help="edge divisibility test for a class")
-    add_common(p)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--class", dest="cls", help="class expression")
-    group.add_argument("--in", dest="infile", metavar="FILE", help="class JSON file")
-    p.set_defaults(func=_cmd_gkm_check)
-
-    p = sub.add_parser("gkm-graph", help="vertices and weighted edges of the moment graph")
-    add_common(p)
-    p.set_defaults(func=_cmd_gkm_graph)
-
-    p = sub.add_parser("kl-verify", help="determinantal classes against Schubert classes")
-    add_common(p)
-    p.set_defaults(func=_cmd_kl_verify)
-
-    p = sub.add_parser("verify", help="batch verification suites")
-    p.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=_cmd_verify)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        group = None
+        for opt in command.options:
+            target = p
+            if opt.dest in command.one_of:
+                if group is None:
+                    group = p.add_mutually_exclusive_group(required=True)
+                target = group
+            if opt.kind == "flag":
+                target.add_argument(opt.flag, dest=opt.dest, action="store_true", help=opt.help)
+            else:
+                target.add_argument(opt.flag, dest=opt.dest, required=opt.required,
+                                    help=opt.help, metavar=opt.metavar, default=opt.default,
+                                    type=int if opt.kind == "int" else None,
+                                    choices=opt.choices or None)
+        p.set_defaults(func=command.handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse help or usage error
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    values = parse_table(argv)
+    if values is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse help or usage error
+            return int(exc.code or 0)
+    else:
+        args = SimpleNamespace(**values)
     try:
         return args.func(args)
     except (EqschubError, ValueError, OSError, json.JSONDecodeError) as err:

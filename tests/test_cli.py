@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from eqschub.cli import main, parse_class_expr
+from eqschub.cli import main, parse_class_expr, parse_table
 from eqschub.exactalg import ParseError, t
 from eqschub.gkmgrass import constant_class, projective_zeta, schubert_class
 from eqschub.suites import run_suites
@@ -15,6 +15,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
+    """Run a well-formed command line, which the option table parses
+    without argparse."""
+    assert parse_table(list(argv)) is not None
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -153,7 +156,10 @@ def test_bad_partition_text(capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    code, _, err = run_cli(capsys, "lr", "--n", "2", "--k", "1", "--a", "1")
+    argv = ["lr", "--n", "2", "--k", "1", "--a", "1"]
+    assert parse_table(argv) is None
+    code = main(argv)
+    err = capsys.readouterr().err
     assert code == 1
     assert "usage" in err
 

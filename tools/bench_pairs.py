@@ -3,9 +3,8 @@
     python3 tools/bench_pairs.py workload BASE CHANGE --workload cold_classes \
         --seeds 1-10 --seconds 15 --out BENCH_6.json
     python3 tools/bench_pairs.py build BASE CHANGE --shape 8,4 --repeats 1 --out BENCH_6.json
-    python3 tools/bench_pairs.py verify BASE CHANGE --repeats 5 --out BENCH_7.json
-    python3 tools/bench_pairs.py integrate BASE CHANGE --shape 6,3 --class 's1^14' \
-        --repeats 5 --out BENCH_11.json
+    python3 tools/bench_pairs.py command BASE CHANGE --repeats 10 --out BENCH_12.json \
+        -- lr --n 4 --k 2 --a 1 --b 1
 
 BASE and CHANGE are the roots of two checkouts, for example a clone of the
 parent commit and one of the change.  `workload` runs `perfbench/run.py` in
@@ -13,16 +12,20 @@ each, once per seed, and alternates which side runs first from one seed to
 the next.  Each side is recorded by its git revision and by a sha256 of its
 src/eqschub/*.py, so two checkouts of one commit with different sources can
 be told apart.  `build` times building every Schubert class of Gr(k, n) in a
-fresh interpreter on each side, alternating the same way.  `verify` times
-the wall clock of `eqschub verify --suite gkm` in a fresh interpreter on each
-side, alternating the same way, and requires it to pass.  `integrate` times
-the wall clock of `eqschub integrate --n N --k K --class EXPR` in a fresh
-interpreter on each side, alternating the same way, and requires both sides
-to print the same stdout.  Each metric gets each
+fresh interpreter on each side, alternating the same way.  `command` times
+the wall clock of `python -m eqschub ARGV...` in a fresh interpreter on each
+side, alternating the same way, and requires every run on both sides to
+exit with the same status and print the same stdout.  Each metric gets each
 side's median and quartiles, all of its runs, and the number of pairs the
 change won (ties count for neither side); the direction of "better" comes
 from the change's BENCHMARK.json.  Results merge into the --out file, so one
-file collects several workloads and builds.
+file collects several workloads, builds and commands.
+
+Every interpreter of a side runs with that side's own PYTHONPYCACHEPREFIX,
+a fresh directory made before the first run (and filled by compiling the
+side's src and perfbench) and removed after the last, with
+PYTHONDONTWRITEBYTECODE unset.  So both sides import from bytecode compiled
+in this run, and a stale `__pycache__` in either checkout is never read.
 """
 
 from __future__ import annotations
@@ -32,9 +35,12 @@ import hashlib
 import json
 import os
 import platform
+import shlex
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -93,11 +99,12 @@ def alternate(index: int, base: Path, change: Path, run) -> tuple:
     return base_result, run(change)
 
 
-def run_workload(args, directions: dict) -> dict:
+def run_workload(args, directions: dict, envs: dict) -> dict:
     def run(root: Path, seed: int) -> dict:
         argv = [sys.executable, "perfbench/run.py", "--workload", args.workload,
                 "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0"]
-        out = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True)
+        out = subprocess.run(argv, cwd=root, env=envs[root], capture_output=True, text=True,
+                             check=True)
         return json.loads(out.stdout.strip().splitlines()[-1])
 
     pairs = []
@@ -121,12 +128,12 @@ def run_workload(args, directions: dict) -> dict:
     }
 
 
-def run_build(args) -> dict:
+def run_build(args, envs: dict) -> dict:
     n, k = args.shape
     script = BUILD_SCRIPT.format(n=n, k=k)
 
     def run(root: Path) -> tuple[float, int]:
-        out = subprocess.run([sys.executable, "-c", script], cwd=root,
+        out = subprocess.run([sys.executable, "-c", script], cwd=root, env=envs[root],
                              capture_output=True, text=True, check=True)
         seconds, count = out.stdout.split()
         return float(seconds), int(count)
@@ -136,34 +143,34 @@ def run_build(args) -> dict:
             **compare([b for (b, _), _ in pairs], [c for _, (c, _) in pairs], "lower")}
 
 
-def timed_cli(root: Path, argv: list[str]) -> tuple[float, str]:
-    """Wall clock and stdout of one `eqschub` command run from root's sources
-    in a fresh interpreter; a nonzero exit status raises."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    start = time.perf_counter()
-    out = subprocess.run([sys.executable, "-m", "eqschub", *argv], cwd=root, env=env,
-                         capture_output=True, text=True, check=True)
-    return time.perf_counter() - start, out.stdout
-
-
-def run_verify(args) -> dict:
-    def run(root: Path) -> float:
-        return timed_cli(root, ["verify", "--suite", "gkm"])[0]
+def run_command(args, envs: dict) -> dict:
+    def run(root: Path) -> tuple[float, int, str]:
+        env = dict(envs[root], PYTHONPATH=str(root / "src"))
+        start = time.perf_counter()
+        out = subprocess.run([sys.executable, "-m", "eqschub", *args.argv], cwd=root, env=env,
+                             capture_output=True, text=True)
+        return time.perf_counter() - start, out.returncode, out.stdout
 
     pairs = [alternate(i, args.base, args.change, run) for i in range(args.repeats)]
-    return {"unit": "s", **compare([b for b, _ in pairs], [c for _, c in pairs], "lower")}
-
-
-def run_integrate(args) -> dict:
-    n, k = args.shape
-    argv = ["integrate", "--n", str(n), "--k", str(k), "--class", args.cls]
-    pairs = [alternate(i, args.base, args.change, lambda root: timed_cli(root, argv))
-             for i in range(args.repeats)]
-    outputs = {out for side in pairs for _, out in side}
+    outputs = {(status, out) for side in pairs for _, status, out in side}
     if len(outputs) != 1:
-        raise SystemExit(f"integrate {args.cls} on Gr({k},{n}): the sides print different stdout")
-    return {"unit": "s", "stdout": outputs.pop(),
-            **compare([b for (b, _), _ in pairs], [c for _, (c, _) in pairs], "lower")}
+        raise SystemExit(f"{shlex.join(args.argv)}: the runs differ in exit status or stdout")
+    status, out = outputs.pop()
+    return {"unit": "s", "exit_status": status,
+            "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
+            **compare([b[0] for b, _ in pairs], [c[0] for _, c in pairs], "lower")}
+
+
+def side_envs(prefixes: dict) -> dict:
+    """Per checkout root, the environment of its interpreters: its own
+    bytecode cache directory, filled once by compiling its sources."""
+    envs = {}
+    for root, prefix in prefixes.items():
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        envs[root] = dict(env, PYTHONPYCACHEPREFIX=prefix)
+        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                       cwd=root, env=envs[root], check=True, stdout=subprocess.DEVNULL)
+    return envs
 
 
 def main(argv=None) -> int:
@@ -171,20 +178,18 @@ def main(argv=None) -> int:
     modes = parser.add_subparsers(dest="mode", required=True)
     workload = modes.add_parser("workload", help="paired perfbench/run.py runs")
     build = modes.add_parser("build", help="paired builds of all Schubert classes")
-    verify = modes.add_parser("verify", help="paired runs of the gkm verify suite")
-    integrate = modes.add_parser("integrate", help="paired runs of eqschub integrate")
-    for sub in (workload, build, verify, integrate):
+    command = modes.add_parser("command", help="paired runs of python -m eqschub ARGV")
+    for sub in (workload, build, command):
         sub.add_argument("base", type=Path)
         sub.add_argument("change", type=Path)
         sub.add_argument("--out", type=Path, required=True)
     workload.add_argument("--workload", required=True)
     workload.add_argument("--seeds", type=parse_seeds, required=True)
     workload.add_argument("--seconds", type=float, default=15.0)
-    for sub in (build, integrate):
-        sub.add_argument("--shape", required=True, help="n,k of the Grassmannian",
-                         type=lambda s: tuple(int(v) for v in s.split(",")))
-    integrate.add_argument("--class", dest="cls", required=True, help="class expression")
-    for sub in (build, verify, integrate):
+    build.add_argument("--shape", required=True, help="n,k of the Grassmannian",
+                       type=lambda s: tuple(int(v) for v in s.split(",")))
+    command.add_argument("argv", nargs="+", help="eqschub arguments, after --")
+    for sub in (build, command):
         sub.add_argument("--repeats", type=int, default=1)
     args = parser.parse_args(argv)
     args.base, args.change = args.base.resolve(), args.change.resolve()
@@ -193,23 +198,27 @@ def main(argv=None) -> int:
     report["context"] = {"python": platform.python_version(), "machine": platform.machine(),
                          "cpus": os.cpu_count()}
     sides = {"revisions": {"base": revision(args.base), "change": revision(args.change)},
-             "sources": {"base": source_digest(args.base), "change": source_digest(args.change)}}
-    if args.mode == "workload":
-        bench = json.loads((args.change / "BENCHMARK.json").read_text())
-        directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
-        entry = run_workload(args, directions)
-        report.setdefault("workloads", {})[args.workload] = {**sides, **entry}
-    elif args.mode == "verify":
-        entry = run_verify(args)
-        report["verify_gkm"] = {**sides, **entry}
-    elif args.mode == "integrate":
-        n, k = args.shape
-        entry = run_integrate(args)
-        report.setdefault("integrals", {})[f"Gr({k},{n}) {args.cls}"] = {**sides, **entry}
-    else:
-        n, k = args.shape
-        entry = run_build(args)
-        report.setdefault("class_builds", {})[f"Gr({k},{n})"] = {**sides, **entry}
+             "sources": {"base": source_digest(args.base), "change": source_digest(args.change)},
+             "bytecode": "fresh PYTHONPYCACHEPREFIX per side, compiled before the first run; "
+                         "PYTHONDONTWRITEBYTECODE unset"}
+    prefixes = {root: tempfile.mkdtemp(prefix="bench-pycache-") for root in (args.base, args.change)}
+    try:
+        envs = side_envs(prefixes)
+        if args.mode == "workload":
+            bench = json.loads((args.change / "BENCHMARK.json").read_text())
+            directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
+            entry = run_workload(args, directions, envs)
+            report.setdefault("workloads", {})[args.workload] = {**sides, **entry}
+        elif args.mode == "command":
+            entry = run_command(args, envs)
+            report.setdefault("commands", {})[shlex.join(args.argv)] = {**sides, **entry}
+        else:
+            n, k = args.shape
+            entry = run_build(args, envs)
+            report.setdefault("class_builds", {})[f"Gr({k},{n})"] = {**sides, **entry}
+    finally:
+        for prefix in prefixes.values():
+            shutil.rmtree(prefix, ignore_errors=True)
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
