@@ -57,8 +57,9 @@ def test_usage_error_golden(monkeypatch, name):
 
 PARSER = build_parser()
 
+# Values int() or argparse read in some unusual way; "\u0663" is an Arabic-Indic 3.
 ODD_VALUES = ("-4", " 4", "+4", "4_0", "x", "", "-(s1 - 2)", "-", "--", "-h", "--n", "4 ",
-              "٣")
+              "\u0663")
 GOOD_VALUES = {"int": ("2", "4", "0"), "str": ("1", "2,1", "s1^2", "a b")}
 
 

@@ -36,7 +36,6 @@ import json
 import os
 import platform
 import shlex
-import shutil
 import statistics
 import subprocess
 import sys
@@ -161,16 +160,14 @@ def run_command(args, envs: dict) -> dict:
             **compare([b[0] for b, _ in pairs], [c[0] for _, c in pairs], "lower")}
 
 
-def side_envs(prefixes: dict) -> dict:
-    """Per checkout root, the environment of its interpreters: its own
-    bytecode cache directory, filled once by compiling its sources."""
-    envs = {}
-    for root, prefix in prefixes.items():
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-        envs[root] = dict(env, PYTHONPYCACHEPREFIX=prefix)
-        subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
-                       cwd=root, env=envs[root], check=True, stdout=subprocess.DEVNULL)
-    return envs
+def side_env(root: Path, cache: str) -> dict:
+    """The environment of root's interpreters: bytecode in its own cache
+    directory, filled here by compiling root's sources."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = cache
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+                   cwd=root, env=env, check=True, stdout=subprocess.DEVNULL)
+    return env
 
 
 def main(argv=None) -> int:
@@ -201,9 +198,10 @@ def main(argv=None) -> int:
              "sources": {"base": source_digest(args.base), "change": source_digest(args.change)},
              "bytecode": "fresh PYTHONPYCACHEPREFIX per side, compiled before the first run; "
                          "PYTHONDONTWRITEBYTECODE unset"}
-    prefixes = {root: tempfile.mkdtemp(prefix="bench-pycache-") for root in (args.base, args.change)}
-    try:
-        envs = side_envs(prefixes)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as base_cache, \
+            tempfile.TemporaryDirectory(prefix="bench-pycache-") as change_cache:
+        envs = {args.base: side_env(args.base, base_cache),
+                args.change: side_env(args.change, change_cache)}
         if args.mode == "workload":
             bench = json.loads((args.change / "BENCHMARK.json").read_text())
             directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -216,9 +214,6 @@ def main(argv=None) -> int:
             n, k = args.shape
             entry = run_build(args, envs)
             report.setdefault("class_builds", {})[f"Gr({k},{n})"] = {**sides, **entry}
-    finally:
-        for prefix in prefixes.values():
-            shutil.rmtree(prefix, ignore_errors=True)
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
