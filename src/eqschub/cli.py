@@ -396,10 +396,12 @@ COMMANDS = {
     "lr": Command("structure constants as JSON", _SHAPE_OPTIONS + _FACTORS, _cmd_lr),
     "integrate": Command("fixed-point integral of a class expression", _SHAPE_OPTIONS + (
         Option("--class", "cls", required=True,
-               help="expression in s<partition>, zeta, integers, + - * ^"),
+               help="expression in s<partition>, zeta, integers, + - * ^; "
+                    "write one that starts with - as --class=EXPR"),
     ), _cmd_integrate),
     "gkm-check": Command("edge divisibility test for a class", _SHAPE_OPTIONS + (
-        Option("--class", "cls", help="class expression"),
+        Option("--class", "cls",
+               help="class expression; write one that starts with - as --class=EXPR"),
         Option("--in", "infile", help="class JSON file", metavar="FILE"),
     ), _cmd_gkm_check, one_of=("cls", "infile")),
     "gkm-graph": Command("vertices and weighted edges of the moment graph",

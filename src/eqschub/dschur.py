@@ -39,9 +39,6 @@ class DoubleSchur:
     value: Polynomial
 
 
-_CACHE: dict = {}
-
-
 def _tableau_sum(lam: Partition, k: int, factor) -> Polynomial:
     """Sum over SSYT with entries <= k of prod factor(s, s + j - i).
 
@@ -63,13 +60,7 @@ def _tableau_sum(lam: Partition, k: int, factor) -> Polynomial:
 def double_schur(lam, k: int) -> DoubleSchur:
     """Sum over semistandard tableaux of prod (x_{S(i,j)} - u_{S(i,j)+j-i})."""
     lam = as_partition(lam)
-    key = (lam.parts, k)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
-    result = DoubleSchur(lam, k, _tableau_sum(lam, k, lambda s, a: x(s) - u(a)))
-    _CACHE[key] = result
-    return result
+    return DoubleSchur(lam, k, _tableau_sum(lam, k, lambda s, a: x(s) - u(a)))
 
 
 def restrict_schur(lam, mu, shape: GrassmannianShape) -> Polynomial:

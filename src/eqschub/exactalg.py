@@ -1,10 +1,11 @@
 """Exact sparse arithmetic over the integers.
 
-Three value types live here: multivariate polynomials with arbitrary
-precision integer coefficients over the named variable families t, x, u, y;
-linear forms in the t variables; and rational functions whose denominators
-are kept as multisets of weights t_a - t_b and are never expanded.  The only
-division is by such a weight.  A monomial is one int with a 16-bit exponent
+Two value types live here: multivariate polynomials with arbitrary
+precision integer coefficients over the named variable families t, x, u, y,
+and linear forms in the t variables.  The only division is by a weight
+t_a - t_b; `ratf_sum` adds fractions whose denominators are products of
+such weights and divides the sum by them, so it returns a polynomial or
+raises NotDivisible.  A monomial is one int with a 16-bit exponent
 field per variable, so indices go up to MAX_INDEX = 32 and exponents up to
 MAX_EXPONENT = 65535; past either, MonomialOverflow is raised.  The change to
 consecutive differences y_i = t_{i+1} - t_i behind Graham positivity
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 import re
 import struct
-from functools import lru_cache, reduce
+from collections import Counter
+from functools import reduce
 from math import comb
 from operator import or_
 from typing import Iterable, Mapping, Union
@@ -69,14 +71,6 @@ class NotDivisible(EqschubError):
         super().__init__("exact division failed")
         self.remainder = remainder
         self.quotient = quotient
-
-
-class NotPolynomial(EqschubError):
-    """A rational function kept denominator factors after full cancellation."""
-
-    def __init__(self, rational: "FactoredRational"):
-        super().__init__(f"denominator does not clear: {rational}")
-        self.rational = rational
 
 
 class UnmappedVariable(EqschubError):
@@ -703,128 +697,37 @@ class LinearForm:
         return f"LinearForm({str(self)!r})"
 
 
-@lru_cache(maxsize=None)
-def _core_poly(coeffs: tuple) -> Polynomial:
-    terms = {1 << _shift(_T, i): c for i, c in coeffs}
-    return Polynomial._make(terms)
+def ratf_sum(pieces: Iterable[tuple[PolyLike, Iterable[LinearForm]]]) -> Polynomial:
+    """The polynomial sum of numerator / product of weights over (numerator,
+    weights) pieces, each weight a form t_a - t_b.
 
-
-class FactoredRational:
-    """sign * numerator / product of weights t_a - t_b with multiplicities.
-
-    Denominators are never expanded; equality is decided by
-    cross-multiplication rather than by any canonical form.
+    The common denominator holds each weight, up to orientation, as often as
+    the piece that holds it most often.  Each numerator is multiplied by the
+    weights it lacks from it, the products are added, and the sum is divided
+    by each weight of the common denominator in turn.  Raises NotDivisible
+    when the sum is not a polynomial, ValueError for a form that is not a
+    weight.
     """
-
-    __slots__ = ("numerator", "denominator", "sign")
-
-    def __init__(self, numerator: PolyLike, factors: Iterable[LinearForm] = (), sign: int = 1):
-        num = _coerce_strict(numerator)
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        denom: dict = {}
-        for f in factors:
-            if tuple(c for _, c in f.coeffs) != (1, -1):
-                raise ValueError(f"denominator forms must be weights t_a - t_b, got {f}")
-            sign *= f.sign
-            denom[f.coeffs] = denom.get(f.coeffs, 0) + 1
-        if not num:
-            denom, sign = {}, 1
-        self.numerator = num
-        self.denominator = denom
-        self.sign = sign
-
-    @staticmethod
-    def _raw(num: Polynomial, denom: dict, sign: int) -> "FactoredRational":
-        r = FactoredRational.__new__(FactoredRational)
-        if not num:
-            denom, sign = {}, 1
-        r.numerator = num
-        r.denominator = denom
-        r.sign = sign
-        return r
-
-    @classmethod
-    def zero(cls) -> "FactoredRational":
-        return cls._raw(Polynomial.zero(), {}, 1)
-
-    def _denominator_poly(self) -> Polynomial:
-        prod = Polynomial.one()
-        for coeffs, mult in sorted(self.denominator.items()):
-            prod = prod * _core_poly(coeffs) ** mult
-        return prod
-
-    def cancelled(self) -> "FactoredRational":
-        """Divide out every denominator factor that divides the numerator."""
-        num = self.numerator
-        if not num:
-            return FactoredRational.zero()
-        denom = dict(self.denominator)
-        for coeffs in sorted(denom):
-            poly = _core_poly(coeffs)
-            while denom[coeffs] > 0:
-                try:
-                    num = num.exact_divide(poly)
-                except NotDivisible:
-                    break
-                denom[coeffs] -= 1
-            if denom[coeffs] == 0:
-                del denom[coeffs]
-        return FactoredRational._raw(num, denom, self.sign)
-
-    def to_polynomial(self) -> Polynomial:
-        return ratf_to_polynomial(self)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FactoredRational):
-            return NotImplemented
-        lhs = self.numerator * other._denominator_poly()
-        rhs = other.numerator * self._denominator_poly()
-        if self.sign != other.sign:
-            rhs = -rhs
-        return lhs == rhs
-
-    def __str__(self) -> str:
-        num = str(self.numerator)
-        if self.sign == -1:
-            num = f"-({num})"
-        if not self.denominator:
-            return num
-        parts = []
-        for coeffs, mult in sorted(self.denominator.items()):
-            body = f"({_core_poly(coeffs)})"
-            parts.append(body if mult == 1 else f"{body}^{mult}")
-        return f"({num}) / ({'*'.join(parts)})"
-
-    def __repr__(self) -> str:
-        return f"FactoredRational({str(self)!r})"
-
-
-def ratf_sum(terms: Iterable[FactoredRational]) -> FactoredRational:
-    """Sum over the common denominator (the multiset maximum), then cancel."""
-    terms = list(terms)
-    common: dict = {}
-    for r in terms:
-        for coeffs, mult in r.denominator.items():
-            if mult > common.get(coeffs, 0):
-                common[coeffs] = mult
+    terms, common = [], Counter()
+    for num, weights in pieces:
+        sign, count = 1, Counter()
+        for w in weights:
+            if tuple(c for _, c in w.coeffs) != (1, -1):
+                raise ValueError(f"denominator forms must be weights t_a - t_b, got {w}")
+            sign *= w.sign
+            count[w.coeffs] += 1
+        terms.append((_coerce_strict(num), sign, count))
+        common |= count
+    forms = {key: LinearForm(dict(key)).to_polynomial() for key in common}
     total = Polynomial.zero()
-    for r in terms:
-        piece = r.numerator if r.sign == 1 else -r.numerator
-        for coeffs, mult in common.items():
-            need = mult - r.denominator.get(coeffs, 0)
-            if need:
-                piece = piece * _core_poly(coeffs) ** need
-        total = total + piece
-    return FactoredRational._raw(total, common, 1).cancelled()
-
-
-def ratf_to_polynomial(r: FactoredRational) -> Polynomial:
-    """The numerator once the denominator clears; NotPolynomial otherwise."""
-    c = r.cancelled()
-    if c.denominator:
-        raise NotPolynomial(c)
-    return c.numerator if c.sign == 1 else -c.numerator
+    for num, sign, count in terms:
+        for key, mult in (common - count).items():
+            num = num * forms[key] ** mult
+        total = total + num if sign > 0 else total - num
+    for key, mult in common.items():
+        for _ in range(mult):
+            total = total.exact_divide(forms[key])
+    return total
 
 
 def elementary_symmetric(i: int, forms: Iterable[LinearForm]) -> Polynomial:

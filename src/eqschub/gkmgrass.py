@@ -21,14 +21,12 @@ from typing import Mapping
 
 from .exactalg import (
     EqschubError,
-    FactoredRational,
     IndexOutOfRange,
     LinearForm,
     ParseError,
     Polynomial,
     elementary_symmetric,
     ratf_sum,
-    ratf_to_polynomial,
     t,
     _T,
     _T_FIELDS,
@@ -64,6 +62,16 @@ class NotInSpan(EqschubError):
         super().__init__(f"division failed at {subset}")
         self.subset = subset
         self.remainder = remainder
+
+
+class NotEquivariantClass(EqschubError):
+    """A tuple of restrictions that fails the moment-graph test, so it is not
+    in the image of the restriction map; ``violation`` is its first failing
+    edge."""
+
+    def __init__(self, violation: GkmViolation):
+        super().__init__(f"not an equivariant class: {violation}")
+        self.violation = violation
 
 
 class EqClass:
@@ -534,41 +542,38 @@ def _term_text(mono, coeff) -> str:
 def integrate(c: EqClass) -> Polynomial:
     """Sum of restriction / tangent-weight-product over all fixed points.
 
-    A class with t-polynomial restrictions that is a Z[t]-combination of
-    Schubert classes (it passes `gkm_check`, or carries the mark of a class
-    built from Schubert classes, see `EqClass`) integrates to a polynomial,
-    and the integral of the Schubert class of lam is 1 for the full box and
-    0 otherwise.  Three routes follow:
+    The tuple must be a class: it carries the mark of a class built from
+    Schubert classes (see `EqClass`) or passes `gkm_check`, and otherwise
+    NotEquivariantClass names its first failing edge.  For Gr(k, n) such a
+    class is a Z[t]-combination of Schubert classes (Goresky-Kottwitz-
+    MacPherson), so it integrates to a polynomial, and the integral of the
+    Schubert class of lam is 1 for the full box and 0 otherwise.  Three
+    routes follow, the first two for classes in the t variables alone:
 
     - degree at most dim = k(n-k): components of degree below dim
       integrate to 0 and the degree-dim component to an integer, read off
       exactly at one integer point;
     - degree above dim, nonzero at no more than half of the fixed points:
       the coefficient of the full box in `expand_in_basis`;
-    - everything else, and a class that fails the first two routes'
-      membership tests: the rational sum, which must clear its
-      denominator; when it does not, the class was not in the image of the
-      restriction map.
+    - everything else: `ratf_sum` of each restriction over its tangent
+      weights.
 
     Basis expansion beats the rational sum on sparse classes and loses on
     dense ones (a power of sigma_1 is nonzero at every point but one).
     """
+    if not c._gkm:
+        violations = gkm_check(c).violations
+        if violations:
+            raise NotEquivariantClass(violations[0])
     shape = c.shape
     if not reduce(or_, (m for _, v in c.items() for m, _ in v.items()), 0) & ~_T_FIELDS:
         tops = _top_degree_values(c, shape.dimension)
         if tops is not None:
-            if c._gkm or gkm_check(c).ok:
-                return Polynomial.integer(_top_degree_integral(c, tops))
-        elif 2 * len(c._restrictions) <= comb(shape.n, shape.k):
+            return Polynomial.integer(_top_degree_integral(c, tops))
+        if 2 * len(c._restrictions) <= comb(shape.n, shape.k):
             box = Partition((shape.box_width,) * shape.k)
-            try:
-                return expand_in_basis(c).coeffs.get(box, Polynomial.zero())
-            except NotInSpan:
-                pass
-    pieces = []
-    for I in c.support():
-        pieces.append(FactoredRational(c.restriction(I), tangent_weights(I, c.shape)))
-    return ratf_to_polynomial(ratf_sum(pieces))
+            return expand_in_basis(c).coeffs.get(box, Polynomial.zero())
+    return ratf_sum((v, tangent_weights(I, shape)) for I, v in c.items())
 
 
 def _top_degree_values(c: EqClass, dim: int) -> dict | None:

@@ -8,10 +8,11 @@ Schubert classes come from the semistandard tableau sum `restrict_schur` at
 every point, and opposite classes from those by reflecting the subsets and
 substituting t_i -> t_{n+1-i}.  The moment-graph test divides each edge's
 difference by its weight and certifies the verdict by multiplying back, and
-the integral takes one rational sum over the fixed points.  The Graham
-positivity certificate substitutes t_i -> t_n - (y_i + ... + y_{n-1}) all at
-once with the generic `Polynomial.substitute`.  The determinant is the
-sum over all permutations of signed products of entries.
+the integral is a sum of fractions over the fixed points at one integer
+point.  The Graham positivity certificate substitutes
+t_i -> t_n - (y_i + ... + y_{n-1}) all at once with the generic
+`Polynomial.substitute`.  The determinant is the sum over all permutations
+of signed products of entries.
 
 The `tuple_*` functions are the polynomial arithmetic in the engine's former
 monomial layout: a tuple of ((rank, index), exponent) pairs sorted by
@@ -22,19 +23,18 @@ exponent or an index.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import prod
 
 import sympy
 
 from eqschub.exactalg import (
     FAMILIES,
-    FactoredRational,
     Polynomial,
     _decode,
     _variable,
-    ratf_sum,
-    ratf_to_polynomial,
     t,
 )
 from eqschub.dschur import restrict_schur
@@ -45,7 +45,7 @@ from eqschub.gkmgrass import (
     PositivityCertificate,
     gkm_graph,
 )
-from eqschub.ytcomb import as_partition, subset_to_partition, tangent_weights
+from eqschub.ytcomb import as_partition, subset_to_partition
 
 
 def lr_coefficient(lam, mu, nu) -> int:
@@ -331,11 +331,22 @@ def gkm_check_by_division(c) -> GkmCheckResult:
     return GkmCheckResult(not violations, tuple(violations))
 
 
-def integrate_by_rational_sum(c):
-    """Sum of restriction / tangent-weight product over the fixed points, as
-    one rational function over the common denominator, which must clear."""
-    pieces = [FactoredRational(c.restriction(I), tangent_weights(I, c.shape)) for I in c.support()]
-    return ratf_to_polynomial(ratf_sum(pieces))
+def value_at(p, point) -> int:
+    """A polynomial in t_1..t_n at t_i = point[i - 1]."""
+    return sum(coeff * prod(point[slot] ** e for slot, e in _decode(mono))
+               for mono, coeff in p.items())
+
+
+def integral_at_point(c, point) -> Fraction:
+    """The localization sum of c at t = point, one Fraction per fixed point:
+    c(I)(p) / prod over i in I, j not in I of (p_j - p_i).  The coordinates
+    of point must be distinct."""
+    n = c.shape.n
+    total = Fraction(0)
+    for I, v in c.items():
+        euler = prod(point[j - 1] - point[i - 1] for i in I.elements for j in I.missing(n))
+        total += Fraction(value_at(v, point), euler)
+    return total
 
 
 def certificate_by_substitution(p, n: int | None = None) -> PositivityCertificate:

@@ -161,6 +161,15 @@ def test_leading_minus_expression_goes_through_argparse(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_leading_minus_expression_in_equals_form():
+    # argparse takes "-s1^4" after "--class" for an option; the help of
+    # --class says to write such an expression as --class=EXPR.
+    code, out, err = run_main(["integrate", "--n", "4", "--k", "2", "--class", "-s1^4"])
+    assert (code, out) == (1, "") and "expected one argument" in err
+    assert run_main(["integrate", "--n", "4", "--k", "2", "--class=-s1^4"]) == (0, "-2\n", "")
+    assert run_main(["gkm-check", "--n", "4", "--k", "2", "--class=-s1^4"]) == (0, "ok\n", "")
+
+
 def test_well_formed_call_does_not_import_argparse():
     src = Path(__file__).parent.parent / "src"
     code = ("import sys; from eqschub.cli import main; "

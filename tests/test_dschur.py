@@ -48,10 +48,6 @@ def test_too_many_rows():
         ordinary_schur((1, 1, 1), 2)
 
 
-def test_double_schur_memo_returns_same_object():
-    assert double_schur((2, 1), 3) is double_schur((2, 1), 3)
-
-
 def test_symmetry_in_x_variables():
     shape_box = GrassmannianShape(5, 2)  # 2 x 3 box
     swap = {("x", 1): x(2), ("x", 2): x(1)}

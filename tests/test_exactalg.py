@@ -5,19 +5,16 @@ from eqschub.exactalg import (
     FAMILIES,
     MAX_EXPONENT,
     MAX_INDEX,
-    FactoredRational,
     IndexOutOfRange,
     LinearForm,
     MonomialOverflow,
     NotDivisible,
-    NotPolynomial,
     ParseError,
     Polynomial,
     UnmappedVariable,
     elementary_symmetric,
     exact_divide,
     ratf_sum,
-    ratf_to_polynomial,
     _agree_at_diagonal,
     t,
     u,
@@ -136,66 +133,49 @@ def test_linear_form_equality_and_hash():
     assert len({LinearForm.weight(2, 1), LinearForm({2: 1, 1: -1})}) == 1
 
 
-# ------------------------------------------------------- factored rationals
+# ------------------------------------------------ sums over weight products
 
 def test_ratf_antisymmetric_pair_cancels():
-    a = FactoredRational(1, [LinearForm.weight(2, 1)])
-    b = FactoredRational(1, [LinearForm.weight(1, 2)])
-    assert ratf_to_polynomial(ratf_sum([a, b])) == 0
+    assert ratf_sum([(1, [LinearForm.weight(2, 1)]), (1, [LinearForm.weight(1, 2)])]) == 0
 
 
 def test_ratf_projective_line_pushforward():
     # (-t1)/(t2-t1) + (-t2)/(t1-t2) = 1
-    a = FactoredRational(-t(1), [LinearForm.weight(2, 1)])
-    b = FactoredRational(-t(2), [LinearForm.weight(1, 2)])
-    assert ratf_to_polynomial(ratf_sum([a, b])) == 1
+    assert ratf_sum([(-t(1), [LinearForm.weight(2, 1)]), (-t(2), [LinearForm.weight(1, 2)])]) == 1
 
 
 def test_ratf_projective_plane_top_power():
     # sum over i of (-t_i)^2 / prod_{j != i} (t_j - t_i) = 1
-    terms = []
-    for i in (1, 2, 3):
-        denom = [LinearForm.weight(j, i) for j in (1, 2, 3) if j != i]
-        terms.append(FactoredRational((-t(i)) ** 2, denom))
-    assert ratf_to_polynomial(ratf_sum(terms)) == 1
+    pieces = [((-t(i)) ** 2, [LinearForm.weight(j, i) for j in (1, 2, 3) if j != i])
+              for i in (1, 2, 3)]
+    assert ratf_sum(pieces) == 1
 
 
 def test_ratf_constant_sum_vanishes():
     # sum over i of 1 / prod_{j != i} (t_j - t_i) = 0 for n = 3
-    terms = []
-    for i in (1, 2, 3):
-        denom = [LinearForm.weight(j, i) for j in (1, 2, 3) if j != i]
-        terms.append(FactoredRational(1, denom))
-    assert ratf_to_polynomial(ratf_sum(terms)) == 0
+    pieces = [(1, [LinearForm.weight(j, i) for j in (1, 2, 3) if j != i]) for i in (1, 2, 3)]
+    assert ratf_sum(pieces) == 0
 
 
-def test_ratf_to_polynomial_cancels():
-    r = FactoredRational(t(1) ** 2 - t(2) ** 2, [LinearForm.weight(1, 2)])
-    assert ratf_to_polynomial(r) == t(1) + t(2)
+def test_ratf_sum_divides_one_piece_by_a_reversed_weight():
+    # (t1^2 - t2^2) / (t1 - t2), with t1 - t2 stored as the reversed weight t2 - t1
+    assert ratf_sum([(t(1) ** 2 - t(2) ** 2, [LinearForm.weight(1, 2)])]) == t(1) + t(2)
 
 
-def test_ratf_to_polynomial_failure():
-    r = FactoredRational(1, [LinearForm.weight(2, 1)])
-    with pytest.raises(NotPolynomial):
-        ratf_to_polynomial(r)
+def test_ratf_sum_that_is_not_a_polynomial_is_not_divisible():
+    with pytest.raises(NotDivisible):
+        ratf_sum([(1, [LinearForm.weight(2, 1)])])
+    # 1/(t2-t1) + 1/(t3-t1) = (t2 + t3 - 2 t1) / ((t2-t1)(t3-t1))
+    with pytest.raises(NotDivisible):
+        ratf_sum([(1, [LinearForm.weight(2, 1)]), (1, [LinearForm.weight(3, 1)])])
 
 
 def test_ratf_rejects_denominator_that_is_not_a_weight():
     for form in (LinearForm({1: 1}), LinearForm({1: 1, 2: 1}), LinearForm({1: 2, 2: -2})):
         with pytest.raises(ValueError, match="weights"):
-            FactoredRational(1, [form])
+            ratf_sum([(1, [form])])
     with pytest.raises(ValueError):
-        FactoredRational(t(1), [LinearForm.weight(2, 1), LinearForm({3: 1})])
-
-
-def test_ratf_equality_by_cross_multiplication():
-    a = FactoredRational(1, [LinearForm.weight(2, 1)])
-    b = FactoredRational(-1, [LinearForm.weight(1, 2)])
-    assert a == b
-    c = FactoredRational(t(1) + t(2), [LinearForm.weight(2, 1), LinearForm.weight(3, 1)])
-    d = FactoredRational(t(1) ** 2 - t(2) ** 2,
-                         [LinearForm.weight(2, 1), LinearForm.weight(3, 1), LinearForm.weight(1, 2)])
-    assert c == d
+        ratf_sum([(t(1), [LinearForm.weight(2, 1)]), (1, [LinearForm({3: 1})])])
 
 
 # ------------------------------------------------------ elementary symmetric
@@ -534,16 +514,36 @@ _FORM_POOL = [LinearForm.weight(2, 1), LinearForm.weight(3, 1), LinearForm.weigh
               LinearForm.weight(3, 2)]
 
 
+def _ratf_value(pieces):
+    try:
+        return ratf_sum(pieces)
+    except NotDivisible:
+        return NotDivisible
+
+
 @given(
     st.lists(
-        st.tuples(polys(max_terms=2, max_exp=2), st.lists(st.sampled_from(range(4)), max_size=3)),
+        st.tuples(polys(max_terms=2, max_exp=2), st.lists(st.sampled_from(range(4)), max_size=3),
+                  st.booleans()),
         max_size=4,
     ),
     st.randoms(),
 )
 @settings(max_examples=40, deadline=None)
 def test_ratf_sum_order_independent(specs, rng):
-    terms = [FactoredRational(num, [_FORM_POOL[i] for i in idxs]) for num, idxs in specs]
-    shuffled = list(terms)
+    # A piece drawn whole has a numerator that is a multiple of its
+    # denominator, so it adds exactly the multiplier.
+    pieces, whole_sum = [], Polynomial.zero()
+    for num, idxs, whole in specs:
+        forms = [_FORM_POOL[i] for i in idxs]
+        if whole:
+            whole_sum = whole_sum + num
+            for form in forms:
+                num = num * form.to_polynomial()
+        pieces.append((num, forms))
+    shuffled = list(pieces)
     rng.shuffle(shuffled)
-    assert ratf_sum(terms) == ratf_sum(shuffled)
+    value = _ratf_value(pieces)
+    assert _ratf_value(shuffled) == value
+    if all(whole for _, _, whole in specs):
+        assert value == whole_sum

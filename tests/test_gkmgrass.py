@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqschub.cli import parse_class_expr
-from eqschub.exactalg import MonomialOverflow, NotPolynomial, Polynomial, t, y
+from eqschub.exactalg import MonomialOverflow, Polynomial, t, y
 from eqschub.gkmgrass import (
     EqClass,
+    NotEquivariantClass,
     NotInSpan,
     ShapeMismatch,
     _det,
@@ -41,9 +42,10 @@ from oracles import (
     certificate_by_substitution,
     det_by_permutations,
     gkm_check_by_division,
-    integrate_by_rational_sum,
+    integral_at_point,
     opposite_by_substitution,
     schubert_by_tableau_sum,
+    value_at,
 )
 
 GR12 = GrassmannianShape(2, 1)
@@ -312,10 +314,8 @@ def test_marked_expressions_stay_marked_and_pass_gkm(data):
 def test_parallel_construction_is_deterministic():
     from concurrent.futures import ThreadPoolExecutor
 
-    import eqschub.dschur as dschur_mod
     import eqschub.gkmgrass as gkm_mod
 
-    dschur_mod._CACHE.clear()
     gkm_mod._SCHUBERT_CACHE.clear()
     lams = GR24.partitions()
     with ThreadPoolExecutor(max_workers=4) as pool:
@@ -440,38 +440,54 @@ def _sigma_products(shape):
     ]
 
 
+def assert_integral_at_points(c):
+    """integrate(c) against the localization sum of c at three integer points
+    with distinct coordinates, none of them the point (1, ..., n) the engine
+    reads classes of degree at most dim at."""
+    n = c.shape.n
+    points = [random.Random(seed).sample(range(-20, 21), n) for seed in (1, 2, 3)]
+    assert list(range(1, n + 1)) not in points
+    value = integrate(c)
+    for point in points:
+        assert value_at(value, point) == integral_at_point(c, point), point
+
+
+def assert_first_violation(bad):
+    """integrate refuses bad with the first violation of the division oracle."""
+    expected = gkm_check_by_division(bad).violations
+    assert expected
+    with pytest.raises(NotEquivariantClass) as got:
+        integrate(bad)
+    assert got.value.violation == expected[0]
+    assert str(got.value) == f"not an equivariant class: {expected[0]}"
+
+
 def test_integrate_matches_rational_sum_oracle():
     cases = [(GR24, *p) for p in _sigma_products(GR24)] + [(GR25, *p) for p in _sigma_products(GR25)]
-    # Gr(3,6) has 396 such classes and the rational sum takes about 80 s on
-    # all of them, so a fixed sample stands in for the rest.
+    # Gr(3,6) has 396 such classes; a fixed sample stands in for the rest.
     cases += [(GR36, *p) for p in random.Random(7).sample(_sigma_products(GR36), 24)]
-    # degree above dim: the rational sum answers
+    # degree above dim
     cases += [(GR24, (), (), 5), (GR24, (2, 1), (), 3), (GR25, (1,), (), 7), (GR36, (), (), 10)]
     for shape, lam, mu, e in cases:
         c = schubert_class(lam, shape) * schubert_class(mu, shape) * schubert_class((1,), shape) ** e
-        assert integrate(c) == integrate_by_rational_sum(c), (shape, lam, mu, e)
+        assert_integral_at_points(c)
 
 
 def test_integrate_matches_oracle_on_cli_expressions():
     for n, k, text in ((5, 2, "(s1 + s2)^3 - s2,1*s1"), (4, 2, "-(s1 - 2)^2*s1,1 + 3")):
         c = parse_class_expr(text, GrassmannianShape(n, k))
-        assert integrate(c) == integrate_by_rational_sum(c), text
+        assert_integral_at_points(c)
 
 
 def test_integrate_perturbed_top_degree_class_keeps_message():
     for shape, site in ((GR24, (1, 3)), (GR25, (2, 5)), (GR36, (1, 4, 6))):
         top = schubert_class((1,), shape) ** shape.dimension
-        bad = top + EqClass(shape, {site: t(1) ** shape.dimension})
-        with pytest.raises(NotPolynomial) as expected:
-            integrate_by_rational_sum(bad)
-        with pytest.raises(NotPolynomial) as got:
-            integrate(bad)
-        assert str(got.value) == str(expected.value)
+        assert_first_violation(top + EqClass(shape, {site: t(1) ** shape.dimension}))
 
 
 def test_integrate_matches_rational_sum_above_dim_on_gr36():
     # Products of degree above dim are sparse and go through the basis
-    # expansion; the sigma_1 powers are dense and keep the rational sum.
+    # expansion; the sigma_1 powers are dense and take the rational sum.
     lams = GR36.partitions()
     products = [
         schubert_class(lam, GR36) * schubert_class(mu, GR36)
@@ -482,7 +498,7 @@ def test_integrate_matches_rational_sum_above_dim_on_gr36():
     assert len(products) == 93
     sigma1 = schubert_class((1,), GR36)
     for c in products + [sigma1 ** 10, sigma1 ** 11]:
-        assert integrate(c) == integrate_by_rational_sum(c)
+        assert_integral_at_points(c)
 
 
 def test_integrate_perturbed_sparse_class_above_dim_keeps_message():
@@ -492,11 +508,7 @@ def test_integrate_perturbed_sparse_class_above_dim_keeps_message():
         assert 2 * len(bad.support()) <= len(GR36.subsets())
         with pytest.raises(NotInSpan):
             expand_in_basis(bad)
-        with pytest.raises(NotPolynomial) as expected:
-            integrate_by_rational_sum(bad)
-        with pytest.raises(NotPolynomial) as got:
-            integrate(bad)
-        assert str(got.value) == str(expected.value)
+        assert_first_violation(bad)
 
 
 def test_integrate_sigma1_power_on_gr37():
@@ -811,9 +823,10 @@ def test_integrate_point_class_is_one():
 
 
 def test_integrate_rejects_non_gkm_class():
-    bad = EqClass(GR12, {(1,): 1})
-    with pytest.raises(NotPolynomial):
-        integrate(bad)
+    assert_first_violation(EqClass(GR12, {(1,): 1}))
+    # a dense sigma_1 power above dim, perturbed at one point
+    dense = schubert_class((1,), GR36) ** 10
+    assert_first_violation(dense + EqClass(GR36, {(2, 4, 5): t(3) ** 10}))
 
 
 # ------------------------------------------------------------ projective space

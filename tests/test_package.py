@@ -1,3 +1,7 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
 import eqschub
 
 
@@ -5,3 +9,22 @@ def test_every_export_resolves():
     missing = [name for name in eqschub.__all__ if not hasattr(eqschub, name)]
     assert not missing
     assert len(set(eqschub.__all__)) == len(eqschub.__all__)
+
+
+def test_every_traced_binding_resolves():
+    # The benchmark's tracer replaces each (module, attribute path) of its
+    # BOUNDARIES, reading the binding as vars(owner)[attr]; a name removed or
+    # renamed here would break its traced runs.
+    path = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for boundary, module, attr_path, _ in tracer.BOUNDARIES:
+        owner = importlib.import_module(f"eqschub.{module}")
+        *holders, attr = attr_path.split(".")
+        for part in holders:
+            owner = vars(owner).get(part)
+        if owner is None or attr not in vars(owner):
+            missing.append(boundary)
+    assert not missing
