@@ -8,13 +8,12 @@ t_{n+1-a} - t_{i_s} directly, so no polynomial is substituted into.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactalg import EqschubError, Polynomial, t, u, x
 from .ytcomb import (
     DoesNotFitBox,
     GrassmannianShape,
     Partition,
+    _Record,
     as_partition,
     partition_to_subset,
     ssyt_enumerate,
@@ -25,8 +24,7 @@ class TooManyRows(EqschubError):
     """The partition has more rows than there are x variables."""
 
 
-@dataclass(frozen=True)
-class DoubleSchur:
+class DoubleSchur(_Record):
     """The tableau-sum polynomial for a shape, in x_1..x_k and u variables.
 
     The value is symmetric in the x variables and degenerates to the
@@ -34,9 +32,10 @@ class DoubleSchur:
     facts are exercised by the test suite rather than assumed here.
     """
 
-    shape: Partition
-    k: int
-    value: Polynomial
+    __slots__ = __match_args__ = ("shape", "k", "value")
+
+    def __init__(self, shape: Partition, k: int, value: Polynomial):
+        self._init(shape, k, value)
 
 
 def _tableau_sum(lam: Partition, k: int, factor) -> Polynomial:

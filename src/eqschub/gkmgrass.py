@@ -12,7 +12,6 @@ arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from math import comb, lcm, prod
@@ -41,6 +40,7 @@ from .ytcomb import (
     GrassmannianShape,
     Partition,
     PivotSubset,
+    _Record,
     as_partition,
     as_subset,
     normal_weights,
@@ -355,13 +355,14 @@ def opposite_schubert_class(lam, shape: GrassmannianShape) -> EqClass:
     return _marked(EqClass(shape, restrictions))
 
 
-@dataclass(frozen=True)
-class GKMGraph:
+class GKMGraph(_Record):
     """Moment graph: one vertex per fixed point, one edge per invariant curve."""
 
-    shape: GrassmannianShape
-    vertices: tuple[PivotSubset, ...]
-    edges: tuple[tuple[PivotSubset, PivotSubset, LinearForm], ...]
+    __slots__ = __match_args__ = ("shape", "vertices", "edges")
+
+    def __init__(self, shape: GrassmannianShape, vertices: tuple[PivotSubset, ...],
+                 edges: tuple[tuple[PivotSubset, PivotSubset, LinearForm], ...]):
+        self._init(shape, vertices, edges)
 
     def to_json_dict(self) -> dict:
         return {
@@ -393,21 +394,26 @@ def gkm_graph(shape: GrassmannianShape) -> GKMGraph:
     return graph
 
 
-@dataclass(frozen=True)
-class GkmViolation:
-    start: PivotSubset
-    end: PivotSubset
-    weight: LinearForm
-    difference: Polynomial
+class GkmViolation(_Record):
+    """An edge whose end restrictions differ by a polynomial its weight does not divide."""
+
+    __slots__ = __match_args__ = ("start", "end", "weight", "difference")
+
+    def __init__(self, start: PivotSubset, end: PivotSubset, weight: LinearForm,
+                 difference: Polynomial):
+        self._init(start, end, weight, difference)
 
     def __str__(self) -> str:
         return f"{self.start} -- {self.end}: {self.difference} not divisible by {self.weight}"
 
 
-@dataclass(frozen=True)
-class GkmCheckResult:
-    ok: bool
-    violations: tuple[GkmViolation, ...]
+class GkmCheckResult(_Record):
+    """Whether every moment graph edge passed, and the edges that did not."""
+
+    __slots__ = __match_args__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: tuple[GkmViolation, ...]):
+        self._init(ok, violations)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -429,12 +435,17 @@ def gkm_check(c: EqClass) -> GkmCheckResult:
     return GkmCheckResult(not violations, tuple(violations))
 
 
-@dataclass(frozen=True, eq=True)
-class BasisExpansion:
-    """Coefficients of a class in the Schubert basis, one per partition."""
+class BasisExpansion(_Record):
+    """Coefficients of a class in the Schubert basis, one per partition.
 
-    shape: GrassmannianShape
-    coeffs: dict
+    Unhashable, as it holds a dict.
+    """
+
+    __slots__ = __match_args__ = ("shape", "coeffs")
+    __hash__ = None
+
+    def __init__(self, shape: GrassmannianShape, coeffs: dict):
+        self._init(shape, coeffs)
 
     def reconstruct(self) -> EqClass:
         total = EqClass(self.shape, {})
@@ -486,8 +497,7 @@ def structure_constants(lam, mu, shape: GrassmannianShape) -> BasisExpansion:
     return expand_in_basis(product)
 
 
-@dataclass(frozen=True)
-class PositivityCertificate:
+class PositivityCertificate(_Record):
     """Outcome of rewriting a t-polynomial in consecutive differences.
 
     ``expansion`` is the image after the change of basis; on success it
@@ -496,9 +506,10 @@ class PositivityCertificate:
     variable, which is reported rather than discarded.
     """
 
-    ok: bool
-    expansion: Polynomial
-    witness: str | None
+    __slots__ = __match_args__ = ("ok", "expansion", "witness")
+
+    def __init__(self, ok: bool, expansion: Polynomial, witness: str | None):
+        self._init(ok, expansion, witness)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -10,7 +10,6 @@ lambda(I).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .exactalg import EqschubError, LinearForm
@@ -20,16 +19,64 @@ class DoesNotFitBox(EqschubError):
     """Partition does not fit inside the k x (n-k) box."""
 
 
-@dataclass(frozen=True)
-class GrassmannianShape:
+class _Record:
+    """An immutable value on __slots__, its fields named there in order.
+
+    repr is Name(field=value, ...); == holds only within one class; the hash
+    is that of the field tuple; pickling and copying rebuild through the
+    constructor.  The dict-key types override __eq__ and __hash__ with
+    direct field access, as the getattr loop is several times slower.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class GrassmannianShape(_Record):
     """Ambient data for Gr(k, n): k-planes in n-space."""
 
-    n: int
-    k: int
+    __slots__ = __match_args__ = ("n", "k")
 
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n - 1:
-            raise ValueError(f"need 1 <= k <= n-1, got k={self.k}, n={self.n}")
+    def __init__(self, n: int, k: int):
+        if not 1 <= k <= n - 1:
+            raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+
+    def __eq__(self, other):
+        if other.__class__ is GrassmannianShape:
+            return self.n == other.n and self.k == other.k
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.k))
 
     @property
     def box_width(self) -> int:
@@ -49,19 +96,26 @@ class GrassmannianShape:
         return sorted(lams, key=lambda p: (p.weight, p.parts))
 
 
-@dataclass(frozen=True)
-class PivotSubset:
+class PivotSubset(_Record):
     """A strictly increasing k-tuple of row indices in {1..n}."""
 
-    elements: tuple[int, ...]
+    __slots__ = __match_args__ = ("elements",)
 
-    def __post_init__(self):
-        elems = tuple(self.elements)
-        object.__setattr__(self, "elements", elems)
+    def __init__(self, elements: tuple[int, ...]):
+        elems = tuple(elements)
         if any(not isinstance(i, int) or i < 1 for i in elems):
             raise ValueError(f"pivot entries must be positive integers: {elems}")
         if any(a >= b for a, b in zip(elems, elems[1:])):
             raise ValueError(f"pivot entries must strictly increase: {elems}")
+        object.__setattr__(self, "elements", elems)
+
+    def __eq__(self, other):
+        if other.__class__ is PivotSubset:
+            return self.elements == other.elements
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.elements,))
 
     @classmethod
     def of(cls, it) -> "PivotSubset":
@@ -87,19 +141,26 @@ class PivotSubset:
         return "{" + ",".join(str(i) for i in self.elements) + "}"
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """Weakly decreasing positive parts; trailing zeros are trimmed."""
 
-    parts: tuple[int, ...]
+    __slots__ = __match_args__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: tuple[int, ...]):
+        parts = tuple(parts)
         if any(not isinstance(p, int) or p <= 0 for p in parts):
             raise ValueError(f"parts must be positive integers: {parts}")
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError(f"parts must weakly decrease: {parts}")
+        object.__setattr__(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is Partition:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     @classmethod
     def of(cls, it) -> "Partition":
@@ -145,11 +206,13 @@ class Partition:
         return ",".join(str(p) for p in self.parts)
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(_Record):
     """A filling of a partition diagram, one tuple per row."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = __match_args__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rows", rows)
 
     @property
     def shape(self) -> Partition:

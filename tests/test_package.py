@@ -1,5 +1,8 @@
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import eqschub
@@ -28,3 +31,14 @@ def test_every_traced_binding_resolves():
         if owner is None or attr not in vars(owner):
             missing.append(boundary)
     assert not missing
+
+
+def test_package_import_loads_no_introspection_modules():
+    # A bare `eqschub` call is bounded by its import, and these modules
+    # would be most of it.
+    src = Path(__file__).parent.parent / "src"
+    code = ("import sys, eqschub, eqschub.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
