@@ -1,9 +1,9 @@
 """Exact sparse arithmetic over the integers.
 
-Two value types live here: multivariate polynomials with arbitrary
-precision integer coefficients over the named variable families t, x, u, y,
-and linear forms in the t variables.  The only division is by a weight
-t_a - t_b; `ratf_sum` adds fractions whose denominators are products of
+The one value type is `Polynomial`: a multivariate polynomial with
+arbitrary precision integer coefficients over the named variable families
+t, x, u, y.  A torus weight t_a - t_b is a Polynomial too, and it is the
+only divisor; `ratf_sum` adds fractions whose denominators are products of
 such weights and divides the sum by them, so it returns a polynomial or
 raises NotDivisible.  A monomial is one int with a 16-bit exponent
 field per variable, so indices go up to MAX_INDEX = 32 and exponents up to
@@ -206,7 +206,13 @@ class Polynomial:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        terms = self._terms
+        if not terms or len(terms) == 1 and _ONE in terms:
+            return hash(self.constant_term())  # a constant equals its int, so hash like it
+        return hash(frozenset(terms.items()))
+
+    def __reduce__(self):
+        return Polynomial, (self._terms,)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._make({m: -c for m, c in self._terms.items()})
@@ -638,87 +644,28 @@ def y(i: int) -> Polynomial:
     return Polynomial.variable("y", i)
 
 
-class LinearForm:
-    """A nonzero integer form in the t variables, value sign * sum(c_i t_i).
-
-    The stored coefficient vector is normalized so its first nonzero entry
-    is positive; the actual orientation sits in ``sign``.  There is no
-    constant term.
-    """
-
-    __slots__ = ("coeffs", "sign")
-
-    def __init__(self, coeffs: Mapping[int, int], sign: int = 1):
-        items = tuple(sorted((i, c) for i, c in coeffs.items() if c))
-        if not items:
-            raise ValueError("the zero linear form is not allowed")
-        if any(i < 1 for i, _ in items):
-            raise ValueError("t indices must be >= 1")
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if items[0][1] < 0:
-            items = tuple((i, -c) for i, c in items)
-            sign = -sign
-        self.coeffs = items
-        self.sign = sign
-
-    @classmethod
-    def weight(cls, j: int, i: int) -> "LinearForm":
-        """The form t_j - t_i."""
-        if i == j:
-            raise ValueError("weight needs distinct indices")
-        return cls({j: 1, i: -1})
-
-    def core(self) -> "LinearForm":
-        """The sign-normalized form, dropping the orientation."""
-        if self.sign == 1:
-            return self
-        return LinearForm(dict(self.coeffs), 1)
-
-    def to_polynomial(self) -> Polynomial:
-        terms = {1 << _shift(_T, i): self.sign * c for i, c in self.coeffs}
-        return Polynomial._make(terms)
-
-    def __neg__(self) -> "LinearForm":
-        return LinearForm(dict(self.coeffs), -self.sign)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.sign == other.sign
-
-    def __hash__(self):
-        return hash((self.coeffs, self.sign))
-
-    def __str__(self) -> str:
-        return str(self.to_polynomial())
-
-    def __repr__(self) -> str:
-        return f"LinearForm({str(self)!r})"
-
-
-def ratf_sum(pieces: Iterable[tuple[PolyLike, Iterable[LinearForm]]]) -> Polynomial:
+def ratf_sum(pieces: Iterable[tuple[PolyLike, Iterable[Polynomial]]]) -> Polynomial:
     """The polynomial sum of numerator / product of weights over (numerator,
-    weights) pieces, each weight a form t_a - t_b.
+    weights) pieces, each weight a polynomial +-(t_a - t_b).
 
     The common denominator holds each weight, up to orientation, as often as
     the piece that holds it most often.  Each numerator is multiplied by the
     weights it lacks from it, the products are added, and the sum is divided
     by each weight of the common denominator in turn.  Raises NotDivisible
-    when the sum is not a polynomial, ValueError for a form that is not a
-    weight.
+    when the sum is not a polynomial, ZeroDivisionError for a zero weight and
+    ValueError for any other weight that is not +-(t_a - t_b), as division
+    does.
     """
     terms, common = [], Counter()
     for num, weights in pieces:
         sign, count = 1, Counter()
         for w in weights:
-            if tuple(c for _, c in w.coeffs) != (1, -1):
-                raise ValueError(f"denominator forms must be weights t_a - t_b, got {w}")
-            sign *= w.sign
-            count[w.coeffs] += 1
+            a, b, s = _weight_indices(w)
+            sign *= s
+            count[a, b] += 1
         terms.append((_coerce_strict(num), sign, count))
         common |= count
-    forms = {key: LinearForm(dict(key)).to_polynomial() for key in common}
+    forms = {(a, b): t(a) - t(b) for a, b in common}
     total = Polynomial.zero()
     for num, sign, count in terms:
         for key, mult in (common - count).items():
@@ -730,18 +677,16 @@ def ratf_sum(pieces: Iterable[tuple[PolyLike, Iterable[LinearForm]]]) -> Polynom
     return total
 
 
-def elementary_symmetric(i: int, forms: Iterable[LinearForm]) -> Polynomial:
-    """The i-th elementary symmetric polynomial of the given forms; e_0 = 1."""
-    forms = list(forms)
+def elementary_symmetric(i: int, forms: Iterable[PolyLike]) -> Polynomial:
+    """The i-th elementary symmetric polynomial of the given polynomials or
+    ints; e_0 = 1."""
+    forms = [_coerce_strict(f) for f in forms]
     if i < 0 or i > len(forms):
         raise IndexOutOfRange(f"e_{i} of {len(forms)} forms")
     table = [Polynomial.one()] + [Polynomial.zero()] * len(forms)
-    count = 0
-    for f in forms:
-        fp = f.to_polynomial()
-        count += 1
+    for count, f in enumerate(forms, 1):
         for j in range(count, 0, -1):
-            table[j] = table[j] + table[j - 1] * fp
+            table[j] = table[j] + table[j - 1] * f
     return table[i]
 
 

@@ -21,7 +21,6 @@ from typing import Mapping
 from .exactalg import (
     EqschubError,
     IndexOutOfRange,
-    LinearForm,
     ParseError,
     Polynomial,
     elementary_symmetric,
@@ -34,6 +33,7 @@ from .exactalg import (
     _difference_chain,
     _exponents,
     _shift,
+    _weight_indices,
 )
 from .ytcomb import (
     DoesNotFitBox,
@@ -247,18 +247,12 @@ _GRAPH_CACHE: dict = {}
 def euler_class(I, shape: GrassmannianShape) -> Polynomial:
     """Product of the normal weights at the fixed point of I: the value there
     of the Schubert class whose pivot is I."""
-    prod = Polynomial.one()
-    for w in normal_weights(I, shape):
-        prod = prod * w.to_polynomial()
-    return prod
+    return prod(normal_weights(I, shape), start=Polynomial.one())
 
 
 def tangent_euler(I, shape: GrassmannianShape) -> Polynomial:
     """Product of all tangent weights at the fixed point of I."""
-    prod = Polynomial.one()
-    for w in tangent_weights(I, shape):
-        prod = prod * w.to_polynomial()
-    return prod
+    return prod(tangent_weights(I, shape), start=Polynomial.one())
 
 
 def _excited_sum(lam: Partition, mu: Partition, rows, cols) -> Polynomial:
@@ -361,7 +355,7 @@ class GKMGraph(_Record):
     __slots__ = __match_args__ = ("shape", "vertices", "edges")
 
     def __init__(self, shape: GrassmannianShape, vertices: tuple[PivotSubset, ...],
-                 edges: tuple[tuple[PivotSubset, PivotSubset, LinearForm], ...]):
+                 edges: tuple[tuple[PivotSubset, PivotSubset, Polynomial], ...]):
         self._init(shape, vertices, edges)
 
     def to_json_dict(self) -> dict:
@@ -388,7 +382,7 @@ def gkm_graph(shape: GrassmannianShape) -> GKMGraph:
             for j in outside:
                 J = PivotSubset.of(set(I.elements) - {i} | {j})
                 if I.elements < J.elements:
-                    edges.append((I, J, LinearForm.weight(j, i)))
+                    edges.append((I, J, t(j) - t(i)))
     graph = GKMGraph(shape, vertices, tuple(edges))
     _GRAPH_CACHE[key] = graph
     return graph
@@ -399,7 +393,7 @@ class GkmViolation(_Record):
 
     __slots__ = __match_args__ = ("start", "end", "weight", "difference")
 
-    def __init__(self, start: PivotSubset, end: PivotSubset, weight: LinearForm,
+    def __init__(self, start: PivotSubset, end: PivotSubset, weight: Polynomial,
                  difference: Polynomial):
         self._init(start, end, weight, difference)
 
@@ -429,7 +423,7 @@ def gkm_check(c: EqClass) -> GkmCheckResult:
     violations = []
     for I, J, weight in graph.edges:
         a, b = c.restriction(I), c.restriction(J)
-        (i, _), (j, _) = weight.coeffs
+        j, i, _ = _weight_indices(weight)
         if not _agree_at_diagonal(a, b, i, j):
             violations.append(GkmViolation(I, J, weight, a - b))
     return GkmCheckResult(not violations, tuple(violations))
@@ -477,7 +471,7 @@ def expand_in_basis(c: EqClass) -> BasisExpansion:
         if q is None:
             continue
         for w in normal_weights(I, shape):
-            q, r = q.divide_with_remainder(w.to_polynomial())
+            q, r = q.divide_with_remainder(w)
             if r:
                 raise NotInSpan(I, r)
         coeffs[lam] = q
@@ -649,11 +643,11 @@ def chern_class_taut(bundle: str, i: int, shape: GrassmannianShape) -> EqClass:
     restrictions = {}
     for J in shape.subsets():
         if bundle == "S":
-            forms = [LinearForm({j: 1}) for j in J.elements]
+            forms = [t(j) for j in J.elements]
         elif bundle == "S_dual":
-            forms = [LinearForm({j: 1}, sign=-1) for j in J.elements]
+            forms = [-t(j) for j in J.elements]
         else:
-            forms = [LinearForm({j: 1}) for j in J.missing(shape.n)]
+            forms = [t(j) for j in J.missing(shape.n)]
         restrictions[J] = elementary_symmetric(i, forms)
     return _marked(EqClass(shape, restrictions))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .exactalg import EqschubError, LinearForm
+from .exactalg import EqschubError, Polynomial, t
 
 
 class DoesNotFitBox(EqschubError):
@@ -307,22 +307,22 @@ def ssyt_enumerate(lam, k: int) -> list[Tableau]:
     return out
 
 
-def tangent_weights(I, shape: GrassmannianShape) -> list[LinearForm]:
+def tangent_weights(I, shape: GrassmannianShape) -> list[Polynomial]:
     """Weights t_j - t_i at the fixed point, for i inside and j outside I."""
     I = _check_subset(I, shape)
     outside = I.missing(shape.n)
-    return [LinearForm.weight(j, i) for i in I.elements for j in outside]
+    return [t(j) - t(i) for i in I.elements for j in outside]
 
 
-def cell_weights(I, shape: GrassmannianShape) -> list[LinearForm]:
+def cell_weights(I, shape: GrassmannianShape) -> list[Polynomial]:
     """The tangent weights t_j - t_i with i > j (along the cell)."""
     I = _check_subset(I, shape)
     outside = I.missing(shape.n)
-    return [LinearForm.weight(j, i) for i in I.elements for j in outside if i > j]
+    return [t(j) - t(i) for i in I.elements for j in outside if i > j]
 
 
-def normal_weights(I, shape: GrassmannianShape) -> list[LinearForm]:
+def normal_weights(I, shape: GrassmannianShape) -> list[Polynomial]:
     """The tangent weights t_j - t_i with i < j (normal to the cell closure)."""
     I = _check_subset(I, shape)
     outside = I.missing(shape.n)
-    return [LinearForm.weight(j, i) for i in I.elements for j in outside if i < j]
+    return [t(j) - t(i) for i in I.elements for j in outside if i < j]

@@ -321,10 +321,9 @@ def gkm_check_by_division(c) -> GkmCheckResult:
         diff = c.restriction(I) - c.restriction(J)
         if not diff:
             continue
-        core = weight.core().to_polynomial()
-        top = max(i for i, _ in weight.coeffs)
-        q, r = diff.divide_with_remainder(core)
-        assert q * core + r == diff, (I, J)
+        top = max(i for _, i in weight.variables())
+        q, r = diff.divide_with_remainder(weight)
+        assert q * weight + r == diff, (I, J)
         assert ("t", top) not in r.variables(), (I, J)
         if r:
             violations.append(GkmViolation(I, J, weight, diff))

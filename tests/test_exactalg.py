@@ -6,7 +6,6 @@ from eqschub.exactalg import (
     MAX_EXPONENT,
     MAX_INDEX,
     IndexOutOfRange,
-    LinearForm,
     MonomialOverflow,
     NotDivisible,
     ParseError,
@@ -65,6 +64,27 @@ def test_normal_form_equality():
     assert hash(t(1) + t(2)) == hash(t(2) + t(1))
 
 
+def test_constant_hashes_like_the_int_it_equals():
+    for value in (3, 0, -1):
+        constant = Polynomial.integer(value)
+        assert constant == value and hash(constant) == hash(value)
+        assert len({value, constant}) == 1
+        assert {value: "x"}.get(constant) == "x"
+    assert hash(Polynomial.zero()) == hash(0)
+    assert len({0, Polynomial.zero(), t(1) - t(1)}) == 1
+
+
+def test_pickle_round_trips_at_every_protocol():
+    import pickle
+
+    for p in (Polynomial.zero(), Polynomial.integer(-7), t(3) - t(1),
+              2 ** 70 * t(1) ** MAX_EXPONENT * y(MAX_INDEX) - x(2) + u(1)):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(p, protocol))
+            assert type(back) is Polynomial
+            assert back == p and hash(back) == hash(p) and str(back) == str(p)
+
+
 def test_power():
     assert (t(1) + 1) ** 3 == t(1) ** 3 + 3 * t(1) ** 2 + 3 * t(1) + 1
     assert t(1) ** 0 == 1
@@ -111,102 +131,83 @@ def test_divide_by_zero():
         t(1).exact_divide(Polynomial.zero())
 
 
-# ------------------------------------------------------------- linear forms
-
-def test_linear_form_normalization():
-    w = LinearForm.weight(2, 1)  # t2 - t1
-    assert w.to_polynomial() == t(2) - t(1)
-    assert w.sign == -1  # core is t1 - t2, flipped
-    assert w.core().to_polynomial() == t(1) - t(2)
-    assert (-w).to_polynomial() == t(1) - t(2)
-
-
-def test_linear_form_rejects_zero():
-    with pytest.raises(ValueError):
-        LinearForm({1: 0})
-
-
-def test_linear_form_equality_and_hash():
-    assert LinearForm.weight(3, 1) == LinearForm({3: 1, 1: -1})
-    assert LinearForm.weight(3, 1) != LinearForm.weight(1, 3)
-    assert LinearForm.weight(3, 1).core() == LinearForm.weight(1, 3).core()
-    assert len({LinearForm.weight(2, 1), LinearForm({2: 1, 1: -1})}) == 1
-
-
 # ------------------------------------------------ sums over weight products
 
 def test_ratf_antisymmetric_pair_cancels():
-    assert ratf_sum([(1, [LinearForm.weight(2, 1)]), (1, [LinearForm.weight(1, 2)])]) == 0
+    assert ratf_sum([(1, [t(2) - t(1)]), (1, [t(1) - t(2)])]) == 0
 
 
 def test_ratf_projective_line_pushforward():
     # (-t1)/(t2-t1) + (-t2)/(t1-t2) = 1
-    assert ratf_sum([(-t(1), [LinearForm.weight(2, 1)]), (-t(2), [LinearForm.weight(1, 2)])]) == 1
+    assert ratf_sum([(-t(1), [t(2) - t(1)]), (-t(2), [t(1) - t(2)])]) == 1
 
 
 def test_ratf_projective_plane_top_power():
     # sum over i of (-t_i)^2 / prod_{j != i} (t_j - t_i) = 1
-    pieces = [((-t(i)) ** 2, [LinearForm.weight(j, i) for j in (1, 2, 3) if j != i])
+    pieces = [((-t(i)) ** 2, [t(j) - t(i) for j in (1, 2, 3) if j != i])
               for i in (1, 2, 3)]
     assert ratf_sum(pieces) == 1
 
 
 def test_ratf_constant_sum_vanishes():
     # sum over i of 1 / prod_{j != i} (t_j - t_i) = 0 for n = 3
-    pieces = [(1, [LinearForm.weight(j, i) for j in (1, 2, 3) if j != i]) for i in (1, 2, 3)]
+    pieces = [(1, [t(j) - t(i) for j in (1, 2, 3) if j != i]) for i in (1, 2, 3)]
     assert ratf_sum(pieces) == 0
 
 
 def test_ratf_sum_divides_one_piece_by_a_reversed_weight():
     # (t1^2 - t2^2) / (t1 - t2), with t1 - t2 stored as the reversed weight t2 - t1
-    assert ratf_sum([(t(1) ** 2 - t(2) ** 2, [LinearForm.weight(1, 2)])]) == t(1) + t(2)
+    assert ratf_sum([(t(1) ** 2 - t(2) ** 2, [t(1) - t(2)])]) == t(1) + t(2)
 
 
 def test_ratf_sum_that_is_not_a_polynomial_is_not_divisible():
     with pytest.raises(NotDivisible):
-        ratf_sum([(1, [LinearForm.weight(2, 1)])])
+        ratf_sum([(1, [t(2) - t(1)])])
     # 1/(t2-t1) + 1/(t3-t1) = (t2 + t3 - 2 t1) / ((t2-t1)(t3-t1))
     with pytest.raises(NotDivisible):
-        ratf_sum([(1, [LinearForm.weight(2, 1)]), (1, [LinearForm.weight(3, 1)])])
+        ratf_sum([(1, [t(2) - t(1)]), (1, [t(3) - t(1)])])
 
 
 def test_ratf_rejects_denominator_that_is_not_a_weight():
-    for form in (LinearForm({1: 1}), LinearForm({1: 1, 2: 1}), LinearForm({1: 2, 2: -2})):
-        with pytest.raises(ValueError, match="weights"):
+    for form in (t(1), t(1) + t(2), 2 * t(1) - 2 * t(2)):
+        with pytest.raises(ValueError, match="weight"):
             ratf_sum([(1, [form])])
     with pytest.raises(ValueError):
-        ratf_sum([(t(1), [LinearForm.weight(2, 1)]), (1, [LinearForm({3: 1})])])
+        ratf_sum([(t(1), [t(2) - t(1)]), (1, [t(3)])])
+    with pytest.raises(ZeroDivisionError):
+        ratf_sum([(1, [t(1) - t(1)])])
 
 
 # ------------------------------------------------------ elementary symmetric
 
 def test_elementary_symmetric_basic():
-    forms = [LinearForm({i: 1}) for i in (1, 2, 3)]
+    forms = [t(i) for i in (1, 2, 3)]
     assert elementary_symmetric(2, forms) == t(1) * t(2) + t(1) * t(3) + t(2) * t(3)
     assert elementary_symmetric(0, forms) == 1
 
 
 def test_elementary_symmetric_top_is_product():
-    forms = [LinearForm.weight(4, 1), LinearForm.weight(3, 2), LinearForm({2: 1})]
+    forms = [t(4) - t(1), t(3) - t(2), t(2)]
     product = Polynomial.one()
     for f in forms:
-        product = product * f.to_polynomial()
+        product = product * f
     assert elementary_symmetric(3, forms) == product
+    assert elementary_symmetric(2, [2, -t(1), 3]) == -5 * t(1) + 6
 
 
 def test_elementary_symmetric_range():
     with pytest.raises(IndexOutOfRange):
-        elementary_symmetric(3, [LinearForm({1: 1})])
+        elementary_symmetric(3, [t(1)])
     with pytest.raises(IndexOutOfRange):
-        elementary_symmetric(-1, [LinearForm({1: 1})])
+        elementary_symmetric(-1, [t(1)])
 
 
 def test_elementary_symmetric_generating_identity():
     # prod (1 + chi_i) has e_d as its degree-d part, for up to 6 forms
-    forms = [LinearForm.weight(j, i) for i, j in ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))]
+    forms = [t(j) - t(i) for i, j in ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))]
     product = Polynomial.one()
     for f in forms:
-        product = product * (f.to_polynomial() + 1)
+        product = product * (f + 1)
     for d in range(len(forms) + 1):
         assert product.homogeneous_component(d) == elementary_symmetric(d, forms)
 
@@ -288,7 +289,7 @@ def test_variable_index_limit():
     with pytest.raises(MonomialOverflow):
         t(33)
     with pytest.raises(MonomialOverflow):
-        LinearForm.weight(33, 1).to_polynomial()
+        t(33) - t(1)
 
 
 def test_parse_limits():
@@ -510,8 +511,7 @@ def test_substitute_is_ring_homomorphism(a, b):
     assert left == right
 
 
-_FORM_POOL = [LinearForm.weight(2, 1), LinearForm.weight(3, 1), LinearForm.weight(1, 3),
-              LinearForm.weight(3, 2)]
+_FORM_POOL = [t(2) - t(1), t(3) - t(1), t(1) - t(3), t(3) - t(2)]
 
 
 def _ratf_value(pieces):
@@ -539,7 +539,7 @@ def test_ratf_sum_order_independent(specs, rng):
         if whole:
             whole_sum = whole_sum + num
             for form in forms:
-                num = num * form.to_polynomial()
+                num = num * form
         pieces.append((num, forms))
     shuffled = list(pieces)
     rng.shuffle(shuffled)

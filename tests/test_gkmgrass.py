@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqschub.cli import parse_class_expr
-from eqschub.exactalg import MonomialOverflow, Polynomial, t, y
+from eqschub.exactalg import MonomialOverflow, Polynomial, _weight_indices, t, y
 from eqschub.gkmgrass import (
     EqClass,
     NotEquivariantClass,
@@ -182,7 +182,7 @@ def test_opposite_support_and_diagonal():
             I = partition_to_subset(lam, shape)
             diagonal = Polynomial.one()
             for w in cell_weights(I, shape):
-                diagonal = diagonal * w.to_polynomial()
+                diagonal = diagonal * w
             assert cls.restriction(I) == diagonal, lam
             for J in shape.subsets():
                 if cls.restriction(J):
@@ -333,7 +333,7 @@ def test_gkm_graph_projective_line():
     assert len(graph.edges) == 1
     I, J, w = graph.edges[0]
     assert (I, J) == (PivotSubset((1,)), PivotSubset((2,)))
-    assert w.to_polynomial() == t(2) - t(1)
+    assert w == t(2) - t(1)
 
 
 def test_gkm_graph_counts():
@@ -349,13 +349,14 @@ def test_gkm_graph_edge_weights_in_tangent_spaces():
     from eqschub.ytcomb import tangent_weights
 
     for shape in UP_TO_N7:
-        cores = {I: [] for I in shape.subsets()}
+        positive = {I: [] for I in shape.subsets()}
         for I, J, w in gkm_graph(shape).edges:
             assert w in tangent_weights(I, shape)
             assert -w in tangent_weights(J, shape)
-            cores[I].append(w.core())
-            cores[J].append(w.core())
-        for I, at_vertex in cores.items():
+            assert _weight_indices(w)[2] == 1  # w = t_j - t_i with j > i
+            positive[I].append(w)
+            positive[J].append(w)
+        for I, at_vertex in positive.items():
             # every tangent direction has its own edge, and no two are proportional
             assert len(set(at_vertex)) == len(at_vertex) == shape.dimension, (shape, I)
 
@@ -385,7 +386,7 @@ def test_gkm_check_results():
     assert len(result.violations) == 1
     violation = result.violations[0]
     assert violation.difference == 1
-    assert violation.weight.to_polynomial() == t(2) - t(1)
+    assert violation.weight == t(2) - t(1)
 
 
 def _assert_matches_division_oracle(c):

@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from eqschub.dschur import DoubleSchur, double_schur
-from eqschub.exactalg import LinearForm, t
+from eqschub.exactalg import t
 from eqschub.gkmgrass import (
     BasisExpansion,
     GKMGraph,
@@ -21,9 +21,9 @@ from eqschub.gkmgrass import (
 )
 from eqschub.ytcomb import GrassmannianShape, Partition, PivotSubset, Tableau
 
-VIOLATION = GkmViolation(PivotSubset((1, 2)), PivotSubset((2, 3)), LinearForm.weight(3, 1), t(1))
+VIOLATION = GkmViolation(PivotSubset((1, 2)), PivotSubset((2, 3)), t(3) - t(1), t(1))
 VIOLATION_REPR = ("GkmViolation(start=PivotSubset(elements=(1, 2)), end=PivotSubset(elements=(2, 3)), "
-                  "weight=LinearForm('t3 - t1'), difference=Polynomial('t1'))")
+                  "weight=Polynomial('t3 - t1'), difference=Polynomial('t1'))")
 
 # (type, value, field names, repr); the values come from constructors and
 # from the functions that build them, with lists where tuples are stored.
@@ -35,7 +35,7 @@ CASES = [
     (GKMGraph, gkm_graph(GrassmannianShape(2, 1)), ("shape", "vertices", "edges"),
      "GKMGraph(shape=GrassmannianShape(n=2, k=1), vertices=(PivotSubset(elements=(1,)), "
      "PivotSubset(elements=(2,))), edges=((PivotSubset(elements=(1,)), "
-     "PivotSubset(elements=(2,)), LinearForm('t2 - t1')),))"),
+     "PivotSubset(elements=(2,)), Polynomial('t2 - t1')),))"),
     (GkmViolation, VIOLATION, ("start", "end", "weight", "difference"), VIOLATION_REPR),
     (GkmCheckResult, GkmCheckResult(False, (VIOLATION,)), ("ok", "violations"),
      f"GkmCheckResult(ok=False, violations=({VIOLATION_REPR},))"),
@@ -113,8 +113,7 @@ def test_assignment_and_deletion_raise(cls, value, names, text):
 
 @pytest.mark.parametrize("cls, value, names, text", CASES, ids=IDS)
 def test_pickle_and_copy_round_trips(cls, value, names, text):
-    # Protocols 0 and 1 cannot pickle the slotted Polynomial and LinearForm.
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(value, protocol))
         assert type(back) is cls and back == value and repr(back) == text
     for back in (copy.copy(value), copy.deepcopy(value)):
