@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -75,8 +77,6 @@ def test_constant_hashes_like_the_int_it_equals():
 
 
 def test_pickle_round_trips_at_every_protocol():
-    import pickle
-
     for p in (Polynomial.zero(), Polynomial.integer(-7), t(3) - t(1),
               2 ** 70 * t(1) ** MAX_EXPONENT * y(MAX_INDEX) - x(2) + u(1)):
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):

@@ -26,6 +26,11 @@ a fresh directory made before the first run (and filled by compiling the
 side's src and perfbench) and removed after the last, with
 PYTHONDONTWRITEBYTECODE unset.  So both sides import from bytecode compiled
 in this run, and a stale `__pycache__` in either checkout is never read.
+It also means the `setup_s` recorded here leaves out compiling the package,
+since each side is compiled before its first run.  An interpreter with no
+bytecode to read (PYTHONDONTWRITEBYTECODE=1 in a checkout without
+`__pycache__`) compiles the package on every start, so a `setup_s` taken
+that way is not comparable with the one in a BENCH_*.json file.
 """
 
 from __future__ import annotations
