@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from .exactalg import EqschubError, Polynomial, t, u, x
 from .ytcomb import (
-    DoesNotFitBox,
     GrassmannianShape,
     Partition,
     _Record,
+    _check_partition,
     as_partition,
     partition_to_subset,
     ssyt_enumerate,
@@ -69,12 +69,7 @@ def restrict_schur(lam, mu, shape: GrassmannianShape) -> Polynomial:
     (i the pivot subset of mu) and u_a = -t_{n+1-a}, i.e. t_{n+1-a} - t_{i_s}.
     Nonzero only when mu contains lam; at other points the terms cancel in the sum.
     """
-    lam = as_partition(lam)
-    mu = as_partition(mu)
-    if not lam.fits(shape):
-        raise DoesNotFitBox(f"{lam} does not fit in {shape.k} x {shape.box_width}")
-    if not mu.fits(shape):
-        raise DoesNotFitBox(f"{mu} does not fit in {shape.k} x {shape.box_width}")
+    lam = _check_partition(lam, shape)
     pivots = partition_to_subset(mu, shape).elements
     return _tableau_sum(lam, shape.k, lambda s, a: t(shape.n + 1 - a) - t(pivots[s - 1]))
 

@@ -10,8 +10,12 @@ field per variable, so indices go up to MAX_INDEX = 32 and exponents up to
 MAX_EXPONENT = 65535; past either, MonomialOverflow is raised.  The change to
 consecutive differences y_i = t_{i+1} - t_i behind Graham positivity
 certificates is a chain of one-variable shifts on that layout, not a generic
-substitution.  All values are immutable and every operation is a pure
-function, so the whole module is safe for unrestricted concurrent use.
+substitution.  So are the two steps of a truncated Chern series behind the
+tautological and Kempf-Laksov classes: multiplying by 1 +- t_a and dividing
+by 1 + t_a each add t_a's field to the monomials of one degree to form the
+next.  No other module reads or writes a monomial's fields.  All values are
+immutable and every operation is a pure function, so the whole module is
+safe for unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import re
 import struct
 from collections import Counter
 from functools import reduce
-from math import comb
+from math import comb, prod
 from operator import or_
 from typing import Iterable, Mapping, Union
 
@@ -626,6 +630,58 @@ def _difference_chain(p: Polynomial, n: int) -> Polynomial:
                 key += step
         terms = {m: c for m, c in out.items() if c}
     return Polynomial._make(terms)
+
+
+def _chern_series(indices: Iterable[int], bound: int, sign: int = 1) -> list[Polynomial]:
+    """Degrees 0..bound of the product of 1 + sign*t_a over the indices a,
+    each factor multiplied in from the top degree down.
+
+    A product by t_a adds the field bit of t_a to every monomial with no
+    overflow check: degree d has no exponent above d <= bound, and every
+    caller's bound is below its n <= MAX_INDEX, far below MAX_EXPONENT.
+    """
+    series = [Polynomial.one()] + [Polynomial.zero()] * bound
+    for a in indices:
+        bit = 1 << _shift(_T, a)
+        for d in range(bound, 0, -1):
+            series[d] = series[d] + Polynomial._make({m + bit: sign * c for m, c in series[d - 1].items()})
+    return series
+
+
+def _divide_series(series: list[Polynomial], a: int) -> list[Polynomial]:
+    """A series from `_chern_series` divided by 1 + t_a: from degree 1 up,
+    degree d less t_a times the quotient's degree d - 1."""
+    bit = 1 << _shift(_T, a)
+    out = [series[0]]
+    for p in series[1:]:
+        out.append(p - Polynomial._make({m + bit: c for m, c in out[-1].items()}))
+    return out
+
+
+def _top_degree_value(p: Polynomial, dim: int) -> int | None:
+    """The degree-dim component of a polynomial in t alone at t_i = i; None
+    when some term has degree above dim."""
+    top = 0
+    for mono, coeff in p._terms.items():
+        exps = _exponents(mono)  # the t_i exponent sits at slot i - 1
+        degree = sum(exps)
+        if degree > dim:
+            return None
+        if degree == dim:
+            top += coeff * prod(map(pow, range(1, len(exps) + 1), exps))
+    return top
+
+
+def _positivity_witness(p: Polynomial) -> str | None:
+    """The first term in monomial order that keeps a t variable or has a
+    negative coefficient, as a failed positivity certificate names it; None
+    when there is none."""
+    for mono, coeff in sorted(p._terms.items()):
+        if mono & _T_FIELDS:
+            return f"t variable survives: {Polynomial._make({mono: coeff})}"
+        if coeff < 0:
+            return f"negative coefficient: {Polynomial._make({mono: coeff})}"
+    return None
 
 
 def t(i: int) -> Polynomial:

@@ -12,10 +12,8 @@ arithmetic.
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import combinations
 from math import comb, lcm, prod
-from operator import or_
 from typing import Mapping
 
 from .exactalg import (
@@ -23,24 +21,23 @@ from .exactalg import (
     IndexOutOfRange,
     ParseError,
     Polynomial,
-    elementary_symmetric,
     ratf_sum,
     t,
-    _T,
-    _T_FIELDS,
     _agree_at_diagonal,
+    _chern_series,
     _coerce,
     _difference_chain,
-    _exponents,
-    _shift,
+    _divide_series,
+    _positivity_witness,
+    _top_degree_value,
     _weight_indices,
 )
 from .ytcomb import (
-    DoesNotFitBox,
     GrassmannianShape,
     Partition,
     PivotSubset,
     _Record,
+    _check_partition,
     as_partition,
     as_subset,
     normal_weights,
@@ -304,9 +301,7 @@ def schubert_class(lam, shape: GrassmannianShape) -> EqClass:
     zero unless mu contains lam, and at lam itself the one diagram is lam
     and the value is the product of normal weights.
     """
-    lam = as_partition(lam)
-    if not lam.fits(shape):
-        raise DoesNotFitBox(f"{lam} does not fit in {shape.k} x {shape.box_width}")
+    lam = _check_partition(lam, shape)
     key = (shape.n, shape.k, lam.parts)
     hit = _SCHUBERT_CACHE.get(key)
     if hit is not None:
@@ -333,10 +328,7 @@ def opposite_schubert_class(lam, shape: GrassmannianShape) -> EqClass:
     integrate(schubert_class(lam) * opposite_schubert_class(mu)) is the
     Kronecker delta.
     """
-    lam = as_partition(lam)
-    if not lam.fits(shape):
-        raise DoesNotFitBox(f"{lam} does not fit in {shape.k} x {shape.box_width}")
-    complement = lam.box_complement(shape)
+    complement = as_partition(lam).box_complement(shape)
     restrictions = {
         J: _excited_sum(
             complement,
@@ -530,18 +522,8 @@ def positivity_certificate(p, n: int | None = None) -> PositivityCertificate:
     elif tvars and tvars[-1] > n:
         raise ValueError(f"polynomial mentions t{tvars[-1]} > t{n}")
     expansion = _difference_chain(poly, n) if tvars else poly
-    for mono, coeff in sorted(expansion.items()):
-        if mono & _T_FIELDS:
-            witness = _term_text(mono, coeff)
-            return PositivityCertificate(False, expansion, f"t variable survives: {witness}")
-        if coeff < 0:
-            witness = _term_text(mono, coeff)
-            return PositivityCertificate(False, expansion, f"negative coefficient: {witness}")
-    return PositivityCertificate(True, expansion, None)
-
-
-def _term_text(mono, coeff) -> str:
-    return str(Polynomial({mono: coeff}))
+    witness = _positivity_witness(expansion)
+    return PositivityCertificate(witness is None, expansion, witness)
 
 
 def integrate(c: EqClass) -> Polynomial:
@@ -571,41 +553,30 @@ def integrate(c: EqClass) -> Polynomial:
         if violations:
             raise NotEquivariantClass(violations[0])
     shape = c.shape
-    if not reduce(or_, (m for _, v in c.items() for m, _ in v.items()), 0) & ~_T_FIELDS:
-        tops = _top_degree_values(c, shape.dimension)
-        if tops is not None:
-            return Polynomial.integer(_top_degree_integral(c, tops))
+    if all(family == "t" for _, v in c.items() for family, _ in v.variables()):
+        top = _top_degree_integral(c)
+        if top is not None:
+            return Polynomial.integer(top)
         if 2 * len(c._restrictions) <= comb(shape.n, shape.k):
             box = Partition((shape.box_width,) * shape.k)
             return expand_in_basis(c).coeffs.get(box, Polynomial.zero())
     return ratf_sum((v, tangent_weights(I, shape)) for I, v in c.items())
 
 
-def _top_degree_values(c: EqClass, dim: int) -> dict | None:
-    """The degree-dim component of each restriction evaluated at
-    p = (1, 2, ..., n), by point, leaving out zeros; None when some term has
-    degree above dim.  Each term is decoded once."""
-    tops = {}
+def _top_degree_integral(c: EqClass) -> int | None:
+    """Sum of c_dim(I)(p) / e_I(p) over one common integer denominator, where
+    c_dim(I)(p) is the degree-dim component of the restriction at I evaluated
+    at p = (1, 2, ..., n) and e_I(p) the product of the tangent weights
+    t_j - t_i at p, that is of j - i; None when some term has degree above
+    dim."""
+    n, dim = c.shape.n, c.shape.dimension
+    terms = []
     for I, value in c.items():
-        top = 0
-        for mono, coeff in value.items():
-            exps = _exponents(mono)  # the t_i exponent sits at slot i - 1
-            degree = sum(exps)
-            if degree > dim:
-                return None
-            if degree == dim:
-                top += coeff * prod(map(pow, range(1, len(exps) + 1), exps))
+        top = _top_degree_value(value, dim)
+        if top is None:
+            return None
         if top:
-            tops[I] = top
-    return tops
-
-
-def _top_degree_integral(c: EqClass, tops: dict) -> int:
-    """Sum of c_dim(I)(p) / e_I(p) over one common integer denominator, from
-    the values c_dim(I)(p) of `_top_degree_values`; e_I(p) is the product of
-    the tangent weights t_j - t_i at p, that is of j - i."""
-    n = c.shape.n
-    terms = [(top, prod(j - i for i in I.elements for j in I.missing(n))) for I, top in tops.items()]
+            terms.append((top, prod(j - i for i in I.elements for j in I.missing(n))))
     common = lcm(*(euler for _, euler in terms))
     total, rest = divmod(sum(top * (common // euler) for top, euler in terms), common)
     if rest:
@@ -633,52 +604,20 @@ def chern_class_taut(bundle: str, i: int, shape: GrassmannianShape) -> EqClass:
 
     At the fixed point of J the fiber weights are {t_j : j in J} for S,
     their negatives for S_dual, and {t_j : j not in J} for Q; the class
-    value is the i-th elementary symmetric polynomial of those weights.
+    value is the i-th elementary symmetric polynomial of those weights, read
+    as the degree-i term of the product of 1 + w over the weights w.
     """
     if bundle not in _BUNDLES:
         raise ValueError(f"bundle must be one of {_BUNDLES}")
     rank = shape.k if bundle in ("S", "S_dual") else shape.n - shape.k
     if i < 0 or i > rank:
         raise IndexOutOfRange(f"c_{i} of a rank {rank} bundle")
-    restrictions = {}
-    for J in shape.subsets():
-        if bundle == "S":
-            forms = [t(j) for j in J.elements]
-        elif bundle == "S_dual":
-            forms = [-t(j) for j in J.elements]
-        else:
-            forms = [t(j) for j in J.missing(shape.n)]
-        restrictions[J] = elementary_symmetric(i, forms)
+    sign = -1 if bundle == "S_dual" else 1
+    restrictions = {
+        J: _chern_series(J.missing(shape.n) if bundle == "Q" else J.elements, i, sign)[i]
+        for J in shape.subsets()
+    }
     return _marked(EqClass(shape, restrictions))
-
-
-def _chern_ratio(J: PivotSubset, m: int, n: int, bound: int) -> list[Polynomial]:
-    """Degrees 0..bound of prod_{a not in J, a > m} (1 + t_a) divided by
-    prod_{b in J, b <= m} (1 + t_b): multiply by 1 + t_a from the top degree
-    down, then divide by 1 + t_b from degree 1 up.
-
-    A product by t_a adds the field bit of t_a to every monomial, with no
-    overflow check: series[d] has degree d, so no exponent exceeds bound =
-    lambda_1 + k - 1 <= n - 1 <= 31 (t indices stop at 32), far below the
-    65535 a field holds.
-    """
-    series = [Polynomial.one()] + [Polynomial.zero()] * bound
-    for a in J.missing(n):
-        if a > m:
-            bit = 1 << _shift(_T, a)
-            for d in range(bound, 0, -1):
-                series[d] = series[d] + _shifted(series[d - 1], bit)
-    for b in J.elements:
-        if b <= m:
-            bit = 1 << _shift(_T, b)
-            for d in range(1, bound + 1):
-                series[d] = series[d] - _shifted(series[d - 1], bit)
-    return series
-
-
-def _shifted(p: Polynomial, bit: int) -> Polynomial:
-    """p times the variable whose exponent field starts at bit."""
-    return Polynomial._make({m + bit: c for m, c in p.items()})
 
 
 def _det(matrix: list[list[Polynomial]]) -> Polynomial:
@@ -709,26 +648,29 @@ def kempf_laksov_class(lam, shape: GrassmannianShape) -> EqClass:
     degree lambda_i + j - i in the Chern series c(Q - C^m) of Q minus the
     trivial bundle spanned by the first m = (n-k) - lambda_i + i coordinate
     lines; the class is the k x k determinant of those entries.  Q has
-    weights t_a for a not in J, so the factors 1 + t_a with a <= m cancel and
-    c(Q - C^m) is prod_{a not in J, a > m} (1 + t_a) / prod_{b in J, b <= m}
-    (1 + t_b), computed by one recurrence per factor (`_chern_ratio`).
-    Series are truncated at degree lambda_1 + k - 1, the largest index the
-    determinant reads.  The determinant is a Laplace expansion over shared
-    minors (`_det`): k * 2^(k-1) entry products, not k * k!.
+    weights t_a for a not in J, so c(Q - C^m) = c(Q) / prod_{a <= m} (1 + t_a)
+    = c(Q - C^(m-1)) / (1 + t_m), whether or not m is a pivot.  Each point
+    builds one series c(Q) = prod_{a not in J} (1 + t_a) (`_chern_series`),
+    and m grows with the row, so the rows are read in order, each after the
+    series is divided by 1 + t_a for every new a <= m (`_divide_series`).
+    The series is truncated at degree lambda_1 + k - 1, the largest index
+    the determinant reads.  The determinant is a Laplace expansion over
+    shared minors (`_det`): k * 2^(k-1) entry products, not k * k!.
     """
-    lam = as_partition(lam)
-    if not lam.fits(shape):
-        raise DoesNotFitBox(f"{lam} does not fit in {shape.k} x {shape.box_width}")
+    lam = _check_partition(lam, shape)
     k = shape.k
     r = shape.n - shape.k
     padded = lam.padded(k)
-    bound = padded[0] + k - 1
     restrictions = {}
     for J in shape.subsets():
+        series = _chern_series(J.missing(shape.n), padded[0] + k - 1)
+        m = 0
         matrix = []
         for i, part in enumerate(padded, start=1):
-            ratio = _chern_ratio(J, r - part + i, shape.n, bound)
-            matrix.append([ratio[p] if 0 <= p <= bound else Polynomial.zero()
+            while m < r - part + i:
+                m += 1
+                series = _divide_series(series, m)
+            matrix.append([series[p] if p >= 0 else Polynomial.zero()
                            for p in range(part + 1 - i, part + k + 1 - i)])
         restrictions[J] = _det(matrix)
     return EqClass(shape, restrictions)

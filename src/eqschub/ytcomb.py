@@ -194,8 +194,7 @@ class Partition(_Record):
 
     def box_complement(self, shape: GrassmannianShape) -> "Partition":
         """The 180-degree rotated complement inside the k x (n-k) box."""
-        if not self.fits(shape):
-            raise DoesNotFitBox(f"{self} does not fit in {shape.k} x {shape.box_width}")
+        _check_partition(self, shape)
         w = shape.box_width
         padded = self.padded(shape.k)
         return Partition.of(w - padded[i] for i in range(shape.k - 1, -1, -1))
@@ -246,6 +245,13 @@ def _check_subset(I: PivotSubset, shape: GrassmannianShape) -> PivotSubset:
     return I
 
 
+def _check_partition(lam, shape: GrassmannianShape) -> Partition:
+    lam = Partition.of(lam)
+    if not lam.fits(shape):
+        raise DoesNotFitBox(f"{lam} does not fit in {shape.k} x {shape.box_width}")
+    return lam
+
+
 def subset_to_partition(I, shape: GrassmannianShape) -> Partition:
     """The partition whose j-th row has (n-k) - i_j + j boxes."""
     I = _check_subset(I, shape)
@@ -255,9 +261,7 @@ def subset_to_partition(I, shape: GrassmannianShape) -> Partition:
 
 def partition_to_subset(lam, shape: GrassmannianShape) -> PivotSubset:
     """Inverse of subset_to_partition: i_j = (n-k) + j - lambda_j."""
-    lam = as_partition(lam)
-    if not lam.fits(shape):
-        raise DoesNotFitBox(f"{lam} does not fit in {shape.k} x {shape.box_width}")
+    lam = _check_partition(lam, shape)
     w = shape.box_width
     padded = lam.padded(shape.k)
     return PivotSubset(tuple(w + j - padded[j - 1] for j in range(1, shape.k + 1)))

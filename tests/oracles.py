@@ -12,7 +12,8 @@ the integral is a sum of fractions over the fixed points at one integer
 point.  The Graham positivity certificate substitutes
 t_i -> t_n - (y_i + ... + y_{n-1}) all at once with the generic
 `Polynomial.substitute`.  The determinant is the sum over all permutations
-of signed products of entries.
+of signed products of entries, and the Chern series of Q - C^m at a fixed
+point is built factor by factor for each m with generic products.
 
 The `tuple_*` functions are the polynomial arithmetic in the engine's former
 monomial layout: a tuple of ((rank, index), exponent) pairs sorted by
@@ -378,6 +379,22 @@ def certificate_by_substitution(p, n: int | None = None) -> PositivityCertificat
         if coeff < 0:
             return PositivityCertificate(False, expansion, f"negative coefficient: {term}")
     return PositivityCertificate(True, expansion, None)
+
+
+def chern_ratio(J, m: int, n: int, bound: int) -> list[Polynomial]:
+    """Degrees 0..bound of prod_{a not in J, a > m} (1 + t_a) divided by
+    prod_{b in J, b <= m} (1 + t_b): multiply by each 1 + t_a from the top
+    degree down, then divide by each 1 + t_b from degree 1 up."""
+    series = [Polynomial.one()] + [Polynomial.zero()] * bound
+    for a in J.missing(n):
+        if a > m:
+            for d in range(bound, 0, -1):
+                series[d] = series[d] + series[d - 1] * t(a)
+    for b in J.elements:
+        if b <= m:
+            for d in range(1, bound + 1):
+                series[d] = series[d] - series[d - 1] * t(b)
+    return series
 
 
 def det_by_permutations(matrix) -> Polynomial:

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eqschub.cli import parse_class_expr
-from eqschub.exactalg import MonomialOverflow, Polynomial, _weight_indices, t, y
+from eqschub.exactalg import (
+    MonomialOverflow,
+    Polynomial,
+    _chern_series,
+    _divide_series,
+    _weight_indices,
+    elementary_symmetric,
+    t,
+    y,
+)
 from eqschub.gkmgrass import (
     EqClass,
     NotEquivariantClass,
@@ -40,6 +49,7 @@ from eqschub.ytcomb import (
 
 from oracles import (
     certificate_by_substitution,
+    chern_ratio,
     det_by_permutations,
     gkm_check_by_division,
     integral_at_point,
@@ -880,6 +890,21 @@ def test_chern_examples():
     assert dual.restriction((1,)) == -t(1)
 
 
+def test_chern_classes_are_elementary_symmetric_in_the_roots():
+    for shape in (s for s in UP_TO_N7 if s.n <= 6):
+        for bundle, rank in (("S", shape.k), ("S_dual", shape.k), ("Q", shape.box_width)):
+            for i in range(rank + 1):
+                c = chern_class_taut(bundle, i, shape)
+                for J in shape.subsets():
+                    if bundle == "S":
+                        roots = [t(j) for j in J.elements]
+                    elif bundle == "S_dual":
+                        roots = [-t(j) for j in J.elements]
+                    else:
+                        roots = [t(j) for j in J.missing(shape.n)]
+                    assert c.restriction(J) == elementary_symmetric(i, roots), (bundle, i, shape, J)
+
+
 def test_chern_whitney_sum():
     # total Chern classes of S and Q multiply to that of the trivial bundle
     shape = GR24
@@ -932,6 +957,19 @@ def test_kempf_laksov_empty_shape():
 def test_kempf_laksov_box_2x2():
     for lam in GR24.partitions():
         assert kempf_laksov_class(lam, GR24) == schubert_class(lam, GR24), lam
+
+
+def test_shared_chern_series_matches_two_loop_ratio():
+    # kempf_laksov_class reads row i from c(Q), divided by 1 + t_a for each
+    # a <= m_i; its truncation degree lambda_1 + k - 1 is at most n - 1.
+    for shape in UP_TO_N7:
+        n = shape.n
+        for J in shape.subsets():
+            series = _chern_series(J.missing(n), n - 1)
+            assert series == chern_ratio(J, 0, n, n - 1), J
+            for m in range(1, n + 1):
+                series = _divide_series(series, m)
+                assert series == chern_ratio(J, m, n, n - 1), (J, m)
 
 
 @st.composite

@@ -42,3 +42,12 @@ def test_package_import_loads_no_introspection_modules():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+def test_gkmgrass_holds_no_monomial_layout_names():
+    # The packed monomial layout is a decision of exactalg alone; gkmgrass
+    # reaches it only through Polynomial methods and exactalg's helpers.
+    import eqschub.gkmgrass
+
+    layout = {"_T", "_T_FIELDS", "_shift", "_exponents", "_shifted", "_chern_ratio"}
+    assert not layout & set(vars(eqschub.gkmgrass))

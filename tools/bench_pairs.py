@@ -31,6 +31,12 @@ since each side is compiled before its first run.  An interpreter with no
 bytecode to read (PYTHONDONTWRITEBYTECODE=1 in a checkout without
 `__pycache__`) compiles the package on every start, so a `setup_s` taken
 that way is not comparable with the one in a BENCH_*.json file.
+
+A check of the tests against another checkout, such as the parent commit
+or a copy with a deliberate fault, must run pytest from inside that
+checkout.  pyproject.toml sets pythonpath = ["src"], and pytest puts that
+ahead of PYTHONPATH, so `PYTHONPATH=OTHER/src python -m pytest` run here
+silently imports this checkout's src.
 """
 
 from __future__ import annotations
