@@ -210,7 +210,7 @@ def _cmd_schur(args) -> int:
     elif args.ordinary:
         poly = ordinary_schur(lam, args.k)
     else:
-        poly = double_schur(lam, args.k).value
+        poly = double_schur(lam, args.k)
     if args.json:
         _emit(_json_text({"shape": list(lam.parts), "k": args.k, "poly": str(poly)}), args)
     else:
@@ -503,7 +503,7 @@ def main(argv=None) -> int:
         args = SimpleNamespace(**values)
     try:
         return args.func(args)
-    except (EqschubError, ValueError, OSError, json.JSONDecodeError) as err:
+    except (EqschubError, ValueError, OSError, RecursionError) as err:
         print(f"eqschub: error: {err}", file=sys.stderr)
         return DOMAIN_ERROR
 

@@ -12,9 +12,7 @@ from .exactalg import EqschubError, Polynomial, t, u, x
 from .ytcomb import (
     GrassmannianShape,
     Partition,
-    _Record,
     _check_partition,
-    as_partition,
     partition_to_subset,
     ssyt_enumerate,
 )
@@ -24,42 +22,33 @@ class TooManyRows(EqschubError):
     """The partition has more rows than there are x variables."""
 
 
-class DoubleSchur(_Record):
-    """The tableau-sum polynomial for a shape, in x_1..x_k and u variables.
-
-    The value is symmetric in the x variables and degenerates to the
-    ordinary Schur polynomial when every u variable is set to zero; both
-    facts are exercised by the test suite rather than assumed here.
-    """
-
-    __slots__ = __match_args__ = ("shape", "k", "value")
-
-    def __init__(self, shape: Partition, k: int, value: Polynomial):
-        self._init(shape, k, value)
-
-
 def _tableau_sum(lam: Partition, k: int, factor) -> Polynomial:
     """Sum over SSYT with entries <= k of prod factor(s, s + j - i).
 
-    Box coordinates (i, j) are 1-indexed matrix style and s is the entry of
-    the box; column strictness keeps the second index s + j - i >= 1.
+    Each tableau comes from `ssyt_enumerate` as its tuple of rows.  Box
+    coordinates (i, j) are 1-indexed matrix style and s is the entry of the
+    box; column strictness keeps the second index s + j - i >= 1.
     """
     if len(lam.parts) > k:
         raise TooManyRows(f"{lam} has more than {k} rows")
     total = Polynomial.zero()
-    for tab in ssyt_enumerate(lam, k):
+    for rows in ssyt_enumerate(lam, k):
         term = Polynomial.one()
-        for i, row in enumerate(tab.rows, start=1):
+        for i, row in enumerate(rows, start=1):
             for j, s in enumerate(row, start=1):
                 term = term * factor(s, s + j - i)
         total = total + term
     return total
 
 
-def double_schur(lam, k: int) -> DoubleSchur:
-    """Sum over semistandard tableaux of prod (x_{S(i,j)} - u_{S(i,j)+j-i})."""
-    lam = as_partition(lam)
-    return DoubleSchur(lam, k, _tableau_sum(lam, k, lambda s, a: x(s) - u(a)))
+def double_schur(lam, k: int) -> Polynomial:
+    """Sum over semistandard tableaux of prod (x_{S(i,j)} - u_{S(i,j)+j-i}).
+
+    The value is symmetric in x_1..x_k and is the ordinary Schur polynomial
+    when every u variable is set to zero; the test suite checks both facts
+    rather than assuming them here.
+    """
+    return _tableau_sum(Partition.of(lam), k, lambda s, a: x(s) - u(a))
 
 
 def restrict_schur(lam, mu, shape: GrassmannianShape) -> Polynomial:
@@ -76,4 +65,4 @@ def restrict_schur(lam, mu, shape: GrassmannianShape) -> Polynomial:
 
 def ordinary_schur(lam, k: int) -> Polynomial:
     """The double Schur polynomial at u = 0: the tableau sum of prod x_s."""
-    return _tableau_sum(as_partition(lam), k, lambda s, a: x(s))
+    return _tableau_sum(Partition.of(lam), k, lambda s, a: x(s))

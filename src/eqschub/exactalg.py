@@ -745,10 +745,3 @@ def elementary_symmetric(i: int, forms: Iterable[PolyLike]) -> Polynomial:
             table[j] = table[j] + table[j - 1] * f
     return table[i]
 
-
-def exact_divide(num: PolyLike, div: PolyLike) -> Polynomial:
-    return _coerce_strict(num).exact_divide(div)
-
-
-def substitute(p: PolyLike, mapping: Mapping[tuple, PolyLike]) -> Polynomial:
-    return _coerce_strict(p).substitute(mapping)

@@ -38,8 +38,6 @@ from .ytcomb import (
     PivotSubset,
     _Record,
     _check_partition,
-    as_partition,
-    as_subset,
     normal_weights,
     partition_to_subset,
     subset_to_partition,
@@ -91,7 +89,7 @@ class EqClass:
         self.shape = shape
         clean: dict = {}
         for I, value in restrictions.items():
-            I = as_subset(I)
+            I = PivotSubset.of(I)
             if len(I.elements) != shape.k or (I.elements and I.elements[-1] > shape.n):
                 raise ValueError(f"{I} is not a pivot subset for Gr({shape.k},{shape.n})")
             p = _coerce(value)
@@ -111,7 +109,7 @@ class EqClass:
         return c
 
     def restriction(self, I) -> Polynomial:
-        return self._restrictions.get(as_subset(I), Polynomial.zero())
+        return self._restrictions.get(PivotSubset.of(I), Polynomial.zero())
 
     def support(self) -> list[PivotSubset]:
         return sorted(self._restrictions, key=lambda s: s.elements)
@@ -328,7 +326,7 @@ def opposite_schubert_class(lam, shape: GrassmannianShape) -> EqClass:
     integrate(schubert_class(lam) * opposite_schubert_class(mu)) is the
     Kronecker delta.
     """
-    complement = as_partition(lam).box_complement(shape)
+    complement = Partition.of(lam).box_complement(shape)
     restrictions = {
         J: _excited_sum(
             complement,

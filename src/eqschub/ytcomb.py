@@ -205,39 +205,8 @@ class Partition(_Record):
         return ",".join(str(p) for p in self.parts)
 
 
-class Tableau(_Record):
-    """A filling of a partition diagram, one tuple per row."""
-
-    __slots__ = __match_args__ = ("rows",)
-
-    def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "rows", rows)
-
-    @property
-    def shape(self) -> Partition:
-        return Partition.of(len(r) for r in self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        """Entry in row i, column j (both 1-indexed)."""
-        return self.rows[i - 1][j - 1]
-
-    def row_word(self) -> tuple[int, ...]:
-        return tuple(v for row in self.rows for v in row)
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(v) for v in row) for row in self.rows)
-
-
-def as_partition(value) -> Partition:
-    return Partition.of(value)
-
-
-def as_subset(value) -> PivotSubset:
-    return PivotSubset.of(value)
-
-
 def _check_subset(I: PivotSubset, shape: GrassmannianShape) -> PivotSubset:
-    I = as_subset(I)
+    I = PivotSubset.of(I)
     if len(I.elements) != shape.k:
         raise ValueError(f"{I} is not a {shape.k}-element subset")
     if I.elements and I.elements[-1] > shape.n:
@@ -269,45 +238,54 @@ def partition_to_subset(lam, shape: GrassmannianShape) -> PivotSubset:
 
 def bruhat_leq(J, I) -> bool:
     """Componentwise comparison j_1 <= i_1, ..., j_k <= i_k."""
-    J = as_subset(J)
-    I = as_subset(I)
+    J = PivotSubset.of(J)
+    I = PivotSubset.of(I)
     if len(J.elements) != len(I.elements):
         raise ValueError("subsets must have the same size")
     return all(a <= b for a, b in zip(J.elements, I.elements))
 
 
-def ssyt_enumerate(lam, k: int) -> list[Tableau]:
-    """All semistandard tableaux of the given shape with entries in {1..k}.
+def ssyt_enumerate(lam, k: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All semistandard tableaux of the given shape with entries in {1..k},
+    each as its tuple of rows.
 
     Rows weakly increase, columns strictly increase.  The list comes out in
-    lexicographic order of the row-reading word.
+    lexicographic order of the row-reading word: the boxes are filled in
+    that order by backtracking, each one from its least admissible entry up.
     """
-    lam = as_partition(lam)
+    parts = Partition.of(lam).parts
     if k < 0:
         raise ValueError("entry bound must be nonnegative")
-    parts = lam.parts
-    if not parts:
-        return [Tableau(())]
-    grid = [[0] * width for width in parts]
-    boxes = [(i, j) for i, width in enumerate(parts) for j in range(width)]
-    out: list[Tableau] = []
-
-    def fill(pos: int):
-        if pos == len(boxes):
-            out.append(Tableau(tuple(tuple(row) for row in grid)))
-            return
-        i, j = boxes[pos]
-        lo = 1
-        if j > 0:
-            lo = grid[i][j - 1]
-        if i > 0:
-            lo = max(lo, grid[i - 1][j] + 1)
-        for v in range(lo, k + 1):
-            grid[i][j] = v
-            fill(pos + 1)
-        grid[i][j] = 0
-
-    fill(0)
+    # For box p of the row-reading word: the word positions of the box to its
+    # left and of the box above it, -1 where there is none.
+    left, above, rows = [], [], []
+    for i, width in enumerate(parts):
+        start = len(left)
+        for j in range(width):
+            left.append(start + j - 1 if j else -1)
+            above.append(start - parts[i - 1] + j if i else -1)
+        rows.append((start, start + width))
+    size = len(left)
+    word = [0] * size
+    out = []
+    p = 0
+    while p >= 0:
+        if p == size:
+            out.append(tuple(tuple(word[a:b]) for a, b in rows))
+            p -= 1
+            continue
+        if word[p]:
+            v = word[p] + 1
+        else:
+            v = word[left[p]] if left[p] >= 0 else 1
+            if above[p] >= 0 and word[above[p]] >= v:
+                v = word[above[p]] + 1
+        if v > k:
+            word[p] = 0
+            p -= 1
+        else:
+            word[p] = v
+            p += 1
     return out
 
 

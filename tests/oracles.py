@@ -46,7 +46,7 @@ from eqschub.gkmgrass import (
     PositivityCertificate,
     gkm_graph,
 )
-from eqschub.ytcomb import as_partition, subset_to_partition
+from eqschub.ytcomb import Partition, subset_to_partition
 
 
 def lr_coefficient(lam, mu, nu) -> int:
@@ -306,7 +306,7 @@ def opposite_by_substitution(lam, shape) -> EqClass:
     """The opposite class of lam: the tableau-sum class of the rotated box
     complement, with each subset reflected by i -> n+1-i and each value
     substituted by t_i -> t_{n+1-i}."""
-    base = schubert_by_tableau_sum(as_partition(lam).box_complement(shape), shape)
+    base = schubert_by_tableau_sum(Partition.of(lam).box_complement(shape), shape)
     flip = {("t", i): t(shape.n + 1 - i) for i in range(1, shape.n + 1)}
     return EqClass(shape, {J.reflected(shape.n): v.substitute(flip) for J, v in base.items()})
 

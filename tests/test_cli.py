@@ -82,6 +82,13 @@ def test_schur_ordinary(capsys):
     assert out == "x2 + x1\n"
 
 
+def test_schur_of_a_thousand_boxes(capsys):
+    """One tableau of 1,000 boxes, more than the interpreter's recursion limit."""
+    code, out, _ = run_cli(capsys, "schur", "--shape", "500,500", "--k", "2", "--ordinary")
+    assert code == 0
+    assert out == "x1^500*x2^500\n"
+
+
 def test_integrate_four_lines(capsys):
     code, out, _ = run_cli(capsys, "integrate", "--n", "4", "--k", "2", "--class", "s1^4")
     assert code == 0
@@ -200,6 +207,15 @@ def test_malformed_class_json(tmp_path, capsys, payload):
     assert len(err.splitlines()) == 1 and err.startswith("eqschub: error: ")
 
 
+def test_deeply_nested_class_json(tmp_path, capsys):
+    path = tmp_path / "class.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "gkm-check", "--n", "4", "--k", "2", "--in", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("eqschub: error: ")
+
+
 # --------------------------------------------------------------- size limits
 
 @pytest.mark.parametrize("argv", [
@@ -208,10 +224,13 @@ def test_malformed_class_json(tmp_path, capsys, payload):
     ("integrate", "--n", "16", "--k", "8", "--class", "s1"),
     ("schur", "--shape", "1", "--k", "2", "--n", "40", "--restrict-to", "1"),
     ("integrate", "--n", "4", "--k", "2", "--class", "2^100000000*s1"),
-], ids=["gr-20-40", "n-above-32", "too-many-points", "schur-restrict", "huge-exponent"])
+    ("integrate", "--n", "4", "--k", "2", "--class", "(" * 5000 + "s1" + ")" * 5000),
+], ids=["gr-20-40", "n-above-32", "too-many-points", "schur-restrict", "huge-exponent",
+        "deep-nesting"])
 def test_cli_refuses_oversized_input_quickly(capsys, argv):
     """C(40, 20) is about 1.4e11 points, C(16, 8) = 12,870 is above 10,000,
-    t33 does not exist, and the power would loop 10^8 times: each is refused
+    t33 does not exist, the power would loop 10^8 times, and the parentheses
+    nest deeper than the interpreter's recursion limit: each is refused
     before any class is built."""
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)

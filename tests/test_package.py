@@ -44,6 +44,21 @@ def test_package_import_loads_no_introspection_modules():
     assert out.splitlines()[-1] == "[]"
 
 
+def test_one_public_name_per_job():
+    # Tableaux are tuples of rows and double_schur returns its Polynomial;
+    # Partition.of, PivotSubset.of and the Polynomial methods have no
+    # module-level twins.
+    import eqschub.dschur
+    import eqschub.exactalg
+    import eqschub.ytcomb
+
+    assert not {"Tableau", "as_partition", "as_subset"} & set(vars(eqschub.ytcomb))
+    assert "DoubleSchur" not in vars(eqschub.dschur)
+    assert not {"substitute", "exact_divide"} & set(vars(eqschub.exactalg))
+    assert callable(eqschub.exactalg.Polynomial.substitute)
+    assert callable(eqschub.exactalg.Polynomial.exact_divide)
+
+
 def test_gkmgrass_holds_no_monomial_layout_names():
     # The packed monomial layout is a decision of exactalg alone; gkmgrass
     # reaches it only through Polynomial methods and exactalg's helpers.

@@ -1,4 +1,4 @@
-"""The ten value types: constructor, repr, equality, hash, immutability,
+"""The eight value types: constructor, repr, equality, hash, immutability,
 pickling and match arguments, each pinned to literal values."""
 
 import copy
@@ -6,7 +6,6 @@ import pickle
 
 import pytest
 
-from eqschub.dschur import DoubleSchur, double_schur
 from eqschub.exactalg import t
 from eqschub.gkmgrass import (
     BasisExpansion,
@@ -19,7 +18,7 @@ from eqschub.gkmgrass import (
     positivity_certificate,
     schubert_class,
 )
-from eqschub.ytcomb import GrassmannianShape, Partition, PivotSubset, Tableau
+from eqschub.ytcomb import GrassmannianShape, Partition, PivotSubset
 
 VIOLATION = GkmViolation(PivotSubset((1, 2)), PivotSubset((2, 3)), t(3) - t(1), t(1))
 VIOLATION_REPR = ("GkmViolation(start=PivotSubset(elements=(1, 2)), end=PivotSubset(elements=(2, 3)), "
@@ -31,7 +30,6 @@ CASES = [
     (GrassmannianShape, GrassmannianShape(4, 2), ("n", "k"), "GrassmannianShape(n=4, k=2)"),
     (PivotSubset, PivotSubset([1, 3]), ("elements",), "PivotSubset(elements=(1, 3))"),
     (Partition, Partition([2, 1]), ("parts",), "Partition(parts=(2, 1))"),
-    (Tableau, Tableau(((1, 1), (2,))), ("rows",), "Tableau(rows=((1, 1), (2,)))"),
     (GKMGraph, gkm_graph(GrassmannianShape(2, 1)), ("shape", "vertices", "edges"),
      "GKMGraph(shape=GrassmannianShape(n=2, k=1), vertices=(PivotSubset(elements=(1,)), "
      "PivotSubset(elements=(2,))), edges=((PivotSubset(elements=(1,)), "
@@ -45,8 +43,6 @@ CASES = [
     (PositivityCertificate, positivity_certificate(t(1) - t(2)), ("ok", "expansion", "witness"),
      "PositivityCertificate(ok=False, expansion=Polynomial('-y1'), "
      "witness='negative coefficient: -y1')"),
-    (DoubleSchur, double_schur((1,), 2), ("shape", "k", "value"),
-     "DoubleSchur(shape=Partition(parts=(1,)), k=2, value=Polynomial('-u2 - u1 + x2 + x1'))"),
 ]
 IDS = [case[0].__name__ for case in CASES]
 

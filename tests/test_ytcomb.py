@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from eqschub.exactalg import t
@@ -6,7 +8,6 @@ from eqschub.ytcomb import (
     GrassmannianShape,
     Partition,
     PivotSubset,
-    Tableau,
     bruhat_leq,
     cell_weights,
     normal_weights,
@@ -97,7 +98,7 @@ def test_bruhat_matches_reverse_containment():
 def test_ssyt_enumeration_21():
     tabs = ssyt_enumerate((2, 1), 3)
     assert len(tabs) == 8
-    words = [t.row_word() for t in tabs]
+    words = [sum(tab, ()) for tab in tabs]
     assert words == [
         (1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 2, 3),
         (1, 3, 2), (1, 3, 3), (2, 2, 3), (2, 3, 3),
@@ -107,20 +108,33 @@ def test_ssyt_enumeration_21():
 
 def test_ssyt_edge_cases():
     assert len(ssyt_enumerate((), 5)) == 1
-    assert ssyt_enumerate((), 5)[0].rows == ()
+    assert ssyt_enumerate((), 5)[0] == ()
     only = ssyt_enumerate((2, 2), 2)
     assert len(only) == 1
-    assert only[0].rows == ((1, 1), (2, 2))
+    assert only[0] == ((1, 1), (2, 2))
     assert len(ssyt_enumerate((1,), 7)) == 7
     assert ssyt_enumerate((1, 1, 1), 2) == []
 
 
-def test_tableau_rendering():
-    tab = Tableau(((1, 1), (2,)))
-    assert str(tab) == "1 1\n2"
-    assert tab.entry(1, 2) == 1
-    assert tab.entry(2, 1) == 2
-    assert tab.shape == Partition((2, 1))
+def test_ssyt_order_matches_brute_force():
+    # product() runs through all fillings in lexicographic order of the
+    # row-reading word; keeping the semistandard ones must give the list.
+    for lam in [(1,), (3,), (2, 1), (2, 2), (3, 1, 1), (2, 2, 1), (3, 2, 1)]:
+        cuts = [sum(lam[:i]) for i in range(len(lam) + 1)]
+        for k in range(5):
+            expected = []
+            for word in product(range(1, k + 1), repeat=cuts[-1]):
+                rows = tuple(word[a:b] for a, b in zip(cuts, cuts[1:]))
+                if all(r[j] <= r[j + 1] for r in rows for j in range(len(r) - 1)) and all(
+                        upper[j] < lower[j] for upper, lower in zip(rows, rows[1:])
+                        for j in range(len(lower))):
+                    expected.append(rows)
+            assert ssyt_enumerate(lam, k) == expected, (lam, k)
+
+
+def test_ssyt_of_more_boxes_than_the_recursion_limit():
+    assert ssyt_enumerate((1000,), 1) == [((1,) * 1000,)]
+
 
 
 def test_weights_projective_line():
