@@ -176,7 +176,10 @@ class _ExprParser:
 
 
 def parse_class_expr(text: str, shape: GrassmannianShape) -> EqClass:
-    return _ExprParser(text, shape).parse()
+    try:
+        return _ExprParser(text, shape).parse()
+    except RecursionError:
+        raise ParseError("class expression nests too deeply") from None
 
 
 # ---------------------------------------------------------------- subcommands
@@ -271,7 +274,10 @@ def _load_class(args, shape: GrassmannianShape) -> EqClass:
     if args.cls is not None:
         return parse_class_expr(args.cls, shape)
     with open(args.infile, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ParseError("class file nests too deeply") from None
     cls = EqClass.from_json_dict(data)
     if cls.shape != shape:
         raise EqschubError(f"class file is for Gr({cls.shape.k},{cls.shape.n})")

@@ -31,6 +31,11 @@ def _tableau_sum(lam: Partition, k: int, factor) -> Polynomial:
     """
     if len(lam.parts) > k:
         raise TooManyRows(f"{lam} has more than {k} rows")
+    # Entries reach k, and s + j - i reaches k + lam_1 - (the number of rows
+    # of length lam_1): the factor there raises MonomialOverflow for an index
+    # above MAX_INDEX before any tableau is enumerated.
+    if lam.parts:
+        factor(k, k + lam.parts[0] - lam.parts.count(lam.parts[0]))
     total = Polynomial.zero()
     for rows in ssyt_enumerate(lam, k):
         term = Polynomial.one()

@@ -1,12 +1,13 @@
 """Exact sparse arithmetic over the integers.
 
-The one value type is `Polynomial`: a multivariate polynomial with
-arbitrary precision integer coefficients over the named variable families
-t, x, u, y.  A torus weight t_a - t_b is a Polynomial too, and it is the
-only divisor; `ratf_sum` adds fractions whose denominators are products of
-such weights and divides the sum by them, so it returns a polynomial or
-raises NotDivisible.  A monomial is one int with a 16-bit exponent
-field per variable, so indices go up to MAX_INDEX = 32 and exponents up to
+The one value type is `Polynomial`: a multivariate polynomial with arbitrary
+precision integer coefficients over the named variable families t, x, u, y;
+`Polynomial.parse` reads back the text `str` writes, one pattern match per
+term.  A torus weight t_a - t_b is a Polynomial too, and it is the only
+divisor; `ratf_sum` adds fractions whose denominators are products of such
+weights and divides the sum by them, so it returns a polynomial or raises
+NotDivisible.  A monomial is one int with a 16-bit exponent field per
+variable, so indices go up to MAX_INDEX = 32 and exponents up to
 MAX_EXPONENT = 65535; past either, MonomialOverflow is raised.  The change to
 consecutive differences y_i = t_{i+1} - t_i behind Graham positivity
 certificates is a chain of one-variable shifts on that layout, not a generic
@@ -56,6 +57,8 @@ _NAMES = tuple(f"{family}{index}" for family in FAMILIES for index in range(1, M
 # _UNPACK[n] reads the n lowest fields from a little-endian byte string.
 _UNPACK = tuple(struct.Struct(f"<{n}H").unpack for n in range(_SLOTS + 1))
 _ONE = 0
+_FACTOR = r"(?:[txuy]\d+(?:\s*\^\s*\d+)?|\d+)"
+_TERM = re.compile(rf"\s*((?:[+-]\s*)*)({_FACTOR}(?:\s*\*\s*{_FACTOR})*)\s*(?=[+-]|\Z)")
 
 PolyLike = Union["Polynomial", int]
 
@@ -449,84 +452,39 @@ class Polynomial:
 
     @classmethod
     def parse(cls, text: str) -> "Polynomial":
-        """Parse the canonical rendering, e.g. ``-3*t1^2*t2 + t3``."""
-        tokens = _tokenize_poly(text)
-        if not tokens:
+        """Read text such as ``-3*t1^2*t2 + t3``, one `_TERM` match per term:
+
+            text := term (sign term)*     term := sign* factor ('*' factor)*
+            factor := int | family index ('^' exponent)?     sign := + | -
+
+        where family is t, x, u or y, the rest are decimal digits with index
+        and exponent at least 1, and whitespace may stand between symbols.
+        Other text raises ParseError from the term where it goes off; an index
+        above MAX_INDEX or exponent above MAX_EXPONENT, MonomialOverflow."""
+        if not text.strip():
             raise ParseError("empty polynomial text")
-        out: dict = {}
-        i = 0
-        n = len(tokens)
-        while i < n:
-            sign = 1
-            while i < n and tokens[i][0] == "op" and tokens[i][1] in "+-":
-                if tokens[i][1] == "-":
-                    sign = -sign
-                i += 1
-            if i >= n:
-                raise ParseError("dangling sign")
-            coeff = sign
-            mono = _ONE
-            saw_factor = False
-            while True:
-                kind, value = tokens[i]
-                if kind == "int":
-                    coeff *= value
-                elif kind == "var":
-                    exp = 1
-                    if i + 2 < n and tokens[i + 1] == ("op", "^") and tokens[i + 2][0] == "int":
-                        exp = tokens[i + 2][1]
-                        i += 2
-                    if exp < 1:
-                        raise ParseError("exponents must be positive")
-                    total = ((mono >> value) & MAX_EXPONENT) + exp
-                    if total > MAX_EXPONENT:
-                        raise MonomialOverflow(f"exponent {total} exceeds {MAX_EXPONENT}")
-                    mono += exp << value
-                else:
-                    raise ParseError(f"unexpected token {value!r}")
-                saw_factor = True
-                i += 1
-                if i < n and tokens[i] == ("op", "*"):
-                    i += 1
-                    if i >= n:
-                        raise ParseError("dangling '*'")
-                    continue
-                break
-            if not saw_factor:
-                raise ParseError("empty term")
-            if i < n and tokens[i] not in (("op", "+"), ("op", "-")):
-                raise ParseError("terms must be joined by '+' or '-'")
-            nc = out.get(mono, 0) + coeff
-            if nc:
-                out[mono] = nc
-            else:
-                out.pop(mono, None)
-        return cls._make(out)
-
-
-_POLY_TOKEN = re.compile(r"\s*(?:(?P<var>[txuy])(?P<idx>\d+)|(?P<int>\d+)|(?P<op>[\^*+\-]))")
-
-
-def _tokenize_poly(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _POLY_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
+        out, pos = {}, 0
+        while pos < len(text):
+            m = _TERM.match(text, pos)
+            if m is None:
                 raise ParseError(f"bad polynomial text at {text[pos:pos+12]!r}")
-            break
-        if m.group("var"):
-            idx = int(m.group("idx"))
-            if idx < 1:
-                raise ParseError(f"variable index must be >= 1 in {m.group().strip()!r}")
-            tokens.append(("var", _shift(_RANK[m.group("var")], idx)))
-        elif m.group("int"):
-            tokens.append(("int", int(m.group("int"))))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    return tokens
+            coeff, mono = (-1) ** m[1].count("-"), _ONE
+            for factor in m[2].split("*"):
+                name, _, exp = factor.strip().partition("^")
+                if name[0] not in _RANK:
+                    coeff *= int(name)
+                    continue
+                index, exp = int(name[1:]), int(exp or 1)
+                if index < 1 or exp < 1:
+                    raise ParseError(f"bad polynomial text at {text[pos:pos+12]!r}")
+                shift = _shift(_RANK[name[0]], index)
+                total = ((mono >> shift) & MAX_EXPONENT) + exp
+                if total > MAX_EXPONENT:
+                    raise MonomialOverflow(f"exponent {total} exceeds {MAX_EXPONENT}")
+                mono += exp << shift
+            out[mono] = out.get(mono, 0) + coeff
+            pos = m.end()
+        return cls(out)
 
 
 def _render_term(exps, coeff_abs: int) -> str:

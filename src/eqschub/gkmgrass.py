@@ -92,12 +92,13 @@ class EqClass:
             I = PivotSubset.of(I)
             if len(I.elements) != shape.k or (I.elements and I.elements[-1] > shape.n):
                 raise ValueError(f"{I} is not a pivot subset for Gr({shape.k},{shape.n})")
+            if I in clean:
+                raise ValueError(f"restrictions name the subset {I} twice")
             p = _coerce(value)
             if p is NotImplemented:
                 raise TypeError(f"restriction at {I} must be Polynomial or int")
-            if p:
-                clean[I] = p
-        self._restrictions = clean
+            clean[I] = p
+        self._restrictions = {I: p for I, p in clean.items() if p}
         self._gkm = False
 
     @staticmethod

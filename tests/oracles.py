@@ -13,7 +13,9 @@ point.  The Graham positivity certificate substitutes
 t_i -> t_n - (y_i + ... + y_{n-1}) all at once with the generic
 `Polynomial.substitute`.  The determinant is the sum over all permutations
 of signed products of entries, and the Chern series of Q - C^m at a fixed
-point is built factor by factor for each m with generic products.
+point is built factor by factor for each m with generic products.  Text
+is read by a tokenizer and a token loop, the reader `Polynomial.parse` had
+before it matched whole terms.
 
 The `tuple_*` functions are the polynomial arithmetic in the engine's former
 monomial layout: a tuple of ((rank, index), exponent) pairs sorted by
@@ -24,6 +26,7 @@ exponent or an index.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -33,8 +36,14 @@ import sympy
 
 from eqschub.exactalg import (
     FAMILIES,
+    MAX_EXPONENT,
+    MonomialOverflow,
+    ParseError,
     Polynomial,
+    _ONE,
+    _RANK,
     _decode,
+    _shift,
     _variable,
     t,
 )
@@ -409,3 +418,79 @@ def det_by_permutations(matrix) -> Polynomial:
             term = term * matrix[row][perm[row]]
         total = total - term if inversions % 2 else total + term
     return total
+
+
+# ---------------------------------------------------------- token-loop reader
+
+_POLY_TOKEN = re.compile(r"\s*(?:(?P<var>[txuy])(?P<idx>\d+)|(?P<int>\d+)|(?P<op>[\^*+\-]))")
+
+
+def _tokenize_poly(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _POLY_TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ParseError(f"bad polynomial text at {text[pos:pos+12]!r}")
+            break
+        if m.group("var"):
+            idx = int(m.group("idx"))
+            if idx < 1:
+                raise ParseError(f"variable index must be >= 1 in {m.group().strip()!r}")
+            tokens.append(("var", _shift(_RANK[m.group("var")], idx)))
+        elif m.group("int"):
+            tokens.append(("int", int(m.group("int"))))
+        else:
+            tokens.append(("op", m.group("op")))
+        pos = m.end()
+    return tokens
+
+
+def parse_by_tokens(text: str) -> Polynomial:
+    """Polynomial text read token by token: every token is checked first,
+    then the signed products of ints and powers of variables are summed."""
+    tokens = _tokenize_poly(text)
+    if not tokens:
+        raise ParseError("empty polynomial text")
+    out: dict = {}
+    i = 0
+    n = len(tokens)
+    while i < n:
+        sign = 1
+        while i < n and tokens[i][0] == "op" and tokens[i][1] in "+-":
+            if tokens[i][1] == "-":
+                sign = -sign
+            i += 1
+        if i >= n:
+            raise ParseError("dangling sign")
+        coeff = sign
+        mono = _ONE
+        while True:
+            kind, value = tokens[i]
+            if kind == "int":
+                coeff *= value
+            elif kind == "var":
+                exp = 1
+                if i + 2 < n and tokens[i + 1] == ("op", "^") and tokens[i + 2][0] == "int":
+                    exp = tokens[i + 2][1]
+                    i += 2
+                if exp < 1:
+                    raise ParseError("exponents must be positive")
+                total = ((mono >> value) & MAX_EXPONENT) + exp
+                if total > MAX_EXPONENT:
+                    raise MonomialOverflow(f"exponent {total} exceeds {MAX_EXPONENT}")
+                mono += exp << value
+            else:
+                raise ParseError(f"unexpected token {value!r}")
+            i += 1
+            if i < n and tokens[i] == ("op", "*"):
+                i += 1
+                if i >= n:
+                    raise ParseError("dangling '*'")
+                continue
+            break
+        if i < n and tokens[i] not in (("op", "+"), ("op", "-")):
+            raise ParseError("terms must be joined by '+' or '-'")
+        out[mono] = out.get(mono, 0) + coeff
+    return Polynomial(out)

@@ -213,31 +213,38 @@ def test_deeply_nested_class_json(tmp_path, capsys):
     code, out, err = run_cli(capsys, "gkm-check", "--n", "4", "--k", "2", "--in", str(path))
     assert code == 1
     assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("eqschub: error: ")
+    assert err == "eqschub: error: class file nests too deeply\n"
 
 
 # --------------------------------------------------------------- size limits
 
-@pytest.mark.parametrize("argv", [
-    ("class", "--n", "40", "--k", "20", "--shape", "1"),
-    ("gkm-graph", "--n", "33", "--k", "1"),
-    ("integrate", "--n", "16", "--k", "8", "--class", "s1"),
-    ("schur", "--shape", "1", "--k", "2", "--n", "40", "--restrict-to", "1"),
-    ("integrate", "--n", "4", "--k", "2", "--class", "2^100000000*s1"),
-    ("integrate", "--n", "4", "--k", "2", "--class", "(" * 5000 + "s1" + ")" * 5000),
+@pytest.mark.parametrize("argv, error", [
+    (("class", "--n", "40", "--k", "20", "--shape", "1"),
+     "Gr(20,40) needs t40; at most 32 t variables exist"),
+    (("gkm-graph", "--n", "33", "--k", "1"), "Gr(1,33) needs t33; at most 32 t variables exist"),
+    (("integrate", "--n", "16", "--k", "8", "--class", "s1"),
+     "Gr(8,16) has 12870 fixed points; at most 10000 are accepted"),
+    (("schur", "--shape", "1", "--k", "2", "--n", "40", "--restrict-to", "1"),
+     "Gr(2,40) needs t40; at most 32 t variables exist"),
+    (("integrate", "--n", "4", "--k", "2", "--class", "2^100000000*s1"),
+     "exponent 100000000 exceeds 65535"),
+    (("integrate", "--n", "4", "--k", "2", "--class", "(" * 5000 + "s1" + ")" * 5000),
+     "class expression nests too deeply"),
+    (("schur", "--shape", "33", "--k", "1"), "variable u33: indices go up to 32"),
 ], ids=["gr-20-40", "n-above-32", "too-many-points", "schur-restrict", "huge-exponent",
-        "deep-nesting"])
-def test_cli_refuses_oversized_input_quickly(capsys, argv):
+        "deep-nesting", "schur-long-row"])
+def test_cli_refuses_oversized_input_quickly(capsys, argv, error):
     """C(40, 20) is about 1.4e11 points, C(16, 8) = 12,870 is above 10,000,
-    t33 does not exist, the power would loop 10^8 times, and the parentheses
-    nest deeper than the interpreter's recursion limit: each is refused
-    before any class is built."""
+    t33 does not exist, the power would loop 10^8 times, the parentheses
+    nest deeper than the interpreter's recursion limit, and the one row of
+    33 boxes would sum 2^33 tableau products before it reached u33: each is
+    refused before any class or tableau is built."""
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 10
     assert code == 1
     assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("eqschub: error: ")
+    assert err == f"eqschub: error: {error}\n"
 
 
 def test_cli_accepts_gr48(capsys):

@@ -1,7 +1,7 @@
 import pytest
 
 from eqschub.dschur import TooManyRows, double_schur, ordinary_schur, restrict_schur
-from eqschub.exactalg import Polynomial, t, u, x
+from eqschub.exactalg import MonomialOverflow, Polynomial, t, u, x
 from eqschub.ytcomb import DoesNotFitBox, GrassmannianShape
 
 from oracles import poly_to_sympy, restrict_by_substitution, schur_bialternant
@@ -46,6 +46,22 @@ def test_too_many_rows():
         double_schur((1, 1, 1), 2)
     with pytest.raises(TooManyRows):
         ordinary_schur((1, 1, 1), 2)
+
+
+def test_index_above_limit_is_refused_up_front():
+    # One row of 33 boxes reaches u33 in 2^33 - 1 of its 2^33 tableau
+    # products with k = 1; it is refused before the first of them.
+    with pytest.raises(MonomialOverflow, match="u33"):
+        double_schur((33,), 1)
+    with pytest.raises(MonomialOverflow, match="u33"):
+        double_schur((31, 31, 30), 4)  # 4 + 31 - 2
+    with pytest.raises(MonomialOverflow, match="x33"):
+        ordinary_schur((1,), 33)
+    with pytest.raises(MonomialOverflow, match="u33"):
+        double_schur((3,), 31)
+    assert ("u", 32) in double_schur((2,), 31).variables()
+    assert ordinary_schur((33,), 1) == x(1) ** 33
+    assert double_schur((), 40) == 1
 
 
 def test_symmetry_in_x_variables():

@@ -80,6 +80,22 @@ def test_eqclass_validates_keys():
         EqClass(GR12, {(3,): 1})
 
 
+def test_eqclass_refuses_a_subset_named_twice():
+    # (1,2) and (2,1) are one subset: which value would survive depended on
+    # the key order and on zeros.
+    for restrictions in ({(1, 2): t(1), (2, 1): t(2)}, {(1, 2): t(1), (2, 1): 0},
+                         {(2, 1): 0, (1, 2): t(1)}, {PivotSubset((1, 2)): 1, (1, 2): 1}):
+        with pytest.raises(ValueError, match=r"restrictions name the subset \{1,2\} twice"):
+            EqClass(GR24, restrictions)
+
+
+def test_restrictions_round_trip_through_text():
+    for shape in UP_TO_N7:
+        for lam in shape.partitions():
+            for I, value in schubert_class(lam, shape).items():
+                assert Polynomial.parse(str(value)) == value, (shape, lam, I)
+
+
 def test_eqclass_shape_mismatch():
     a = constant_class(GR12, 1)
     b = constant_class(GrassmannianShape(3, 1), 1)

@@ -59,6 +59,14 @@ def test_one_public_name_per_job():
     assert callable(eqschub.exactalg.Polynomial.exact_divide)
 
 
+def test_polynomial_text_has_one_reader():
+    # Polynomial.parse matches whole terms; the token layer it replaced
+    # lives on only as a test oracle.
+    import eqschub.exactalg
+
+    assert not {"_tokenize_poly", "_POLY_TOKEN"} & set(vars(eqschub.exactalg))
+
+
 def test_gkmgrass_holds_no_monomial_layout_names():
     # The packed monomial layout is a decision of exactalg alone; gkmgrass
     # reaches it only through Polynomial methods and exactalg's helpers.
