@@ -13,9 +13,9 @@ point.  The Graham positivity certificate substitutes
 t_i -> t_n - (y_i + ... + y_{n-1}) all at once with the generic
 `Polynomial.substitute`.  The determinant is the sum over all permutations
 of signed products of entries, and the Chern series of Q - C^m at a fixed
-point is built factor by factor for each m with generic products.  Text
-is read by a tokenizer and a token loop, the reader `Polynomial.parse` had
-before it matched whole terms.
+point is built factor by factor for each m with generic products.
+Polynomial text is read by a tokenizer and a token loop, which check every
+token before any syntax.
 
 The `tuple_*` functions are the polynomial arithmetic in the engine's former
 monomial layout: a tuple of ((rank, index), exponent) pairs sorted by

@@ -49,8 +49,9 @@ def test_too_many_rows():
 
 
 def test_index_above_limit_is_refused_up_front():
-    # One row of 33 boxes reaches u33 in 2^33 - 1 of its 2^33 tableau
-    # products with k = 1; it is refused before the first of them.
+    # With k = 1 a row of 33 boxes has one tableau, the product of x1 - u_a
+    # over a = 1..33, which holds 2^32 terms before its last factor reaches
+    # u33; the row is refused before that product is begun.
     with pytest.raises(MonomialOverflow, match="u33"):
         double_schur((33,), 1)
     with pytest.raises(MonomialOverflow, match="u33"):

@@ -81,8 +81,8 @@ def test_eqclass_validates_keys():
 
 
 def test_eqclass_refuses_a_subset_named_twice():
-    # (1,2) and (2,1) are one subset: which value would survive depended on
-    # the key order and on zeros.
+    # (1,2) and (2,1) name one subset; no value may win by key order or by
+    # being nonzero.
     for restrictions in ({(1, 2): t(1), (2, 1): t(2)}, {(1, 2): t(1), (2, 1): 0},
                          {(2, 1): 0, (1, 2): t(1)}, {PivotSubset((1, 2)): 1, (1, 2): 1}):
         with pytest.raises(ValueError, match=r"restrictions name the subset \{1,2\} twice"):

@@ -60,8 +60,8 @@ def test_one_public_name_per_job():
 
 
 def test_polynomial_text_has_one_reader():
-    # Polynomial.parse matches whole terms; the token layer it replaced
-    # lives on only as a test oracle.
+    # Polynomial.parse matches whole terms; the token reader is only a test
+    # oracle, in tests/oracles.py.
     import eqschub.exactalg
 
     assert not {"_tokenize_poly", "_POLY_TOKEN"} & set(vars(eqschub.exactalg))
