@@ -14,7 +14,9 @@ choice among its choices.  Any other command line (help flags,
 abbreviations, `--opt=value`, repeats, a missing option, a bad value, an
 unknown token) goes to the argparse parser that `build_parser` builds from
 the same table.  So argparse alone writes help and usage text, and a
-well-formed call neither imports nor builds it.
+well-formed call neither imports nor builds it.  A class expression is read
+whole into a program, with every check made, before any class is built: so
+a syntax fault is reported even after a fault that only building would find.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .gkmgrass import (
     structure_constants,
 )
 from .suites import SUITE_NAMES, kl_mismatches, run_suites
-from .ytcomb import GrassmannianShape, Partition
+from .ytcomb import GrassmannianShape, Partition, _check_partition
 
 DOMAIN_ERROR = 1
 VERIFY_FAILURE = 2
@@ -74,112 +76,97 @@ def _json_text(data) -> str:
 
 # ---------------------------------------------------------------- expressions
 
-_EXPR_TOKEN = re.compile(
-    r"\s*(?:(?P<schur>s\d+(?:,\d+)*)|(?P<zeta>zeta)|(?P<int>\d+)|(?P<op>[-+*^()]))"
-)
+_EXPR_TOKEN = re.compile(r"\s*(?:(?P<s>s\d+(?:,\d+)*)|(?P<int>\d+)|(?P<word>zeta|[-+*^()])|(?P<bad>\S))")
 
 
-def _expr_tokens(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _EXPR_TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"bad class expression at {text[pos:pos+12]!r}")
-            break
-        if m.group("schur"):
-            tokens.append(("schur", _parse_partition(m.group("schur")[1:])))
-        elif m.group("zeta"):
-            tokens.append(("zeta", None))
-        elif m.group("int"):
-            tokens.append(("int", int(m.group("int"))))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    return tokens
+def _class_program(text: str, shape: GrassmannianShape) -> list[tuple]:
+    """The class expression `text` on `shape` as a postfix program, checked in
+    full (see the module docstring): ("s", partition), ("zeta", None) and
+    ("int", n) push a class, ("neg", None) and ("^", e) replace the top one,
+    and ("+", None), ("-", None) and ("*", None) replace the top two."""
+    tokens, program = [], []
+    for m in _EXPR_TOKEN.finditer(text):
+        kind, word = m.lastgroup, m[m.lastgroup]
+        if kind == "bad":
+            raise ParseError(f"bad class expression at {text[m.start():m.start() + 12]!r}")
+        if kind == "int":
+            try:
+                word = int(word)
+            except ValueError:  # more digits than int() reads
+                raise ParseError(f"digit run too long in class expression at {word[:12]!r}") from None
+        tokens.append(("s", _parse_partition(word[1:])) if kind == "s"
+                      else (kind, word) if kind == "int" else (word, None))
+    if not tokens:
+        raise ParseError("empty class expression")
+    tokens = [(None, None)] + tokens[::-1]  # read from the end; (None, None) ends the text
 
-
-class _ExprParser:
-    """Recursive descent over +, -, *, ^ with s<partition>, zeta, and ints."""
-
-    def __init__(self, text: str, shape: GrassmannianShape):
-        self.tokens = _expr_tokens(text)
-        self.pos = 0
-        self.shape = shape
-
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def _take(self):
-        token = self._peek()
-        self.pos += 1
-        return token
-
-    def parse(self) -> EqClass:
-        if not self.tokens:
-            raise ParseError("empty class expression")
-        value = self._expr()
-        if self.pos != len(self.tokens):
-            raise ParseError("trailing tokens in class expression")
-        return value
-
-    def _expr(self) -> EqClass:
+    def expr():
         negate = False
-        while self._peek() == ("op", "-") or self._peek() == ("op", "+"):
-            if self._take()[1] == "-":
-                negate = not negate
-        value = self._term()
+        while tokens[-1][0] in ("+", "-"):
+            negate ^= tokens.pop()[0] == "-"
+        term()
         if negate:
-            value = -value
-        while self._peek()[0] == "op" and self._peek()[1] in "+-":
-            op = self._take()[1]
-            rhs = self._term()
-            value = value + (-rhs) if op == "-" else value + rhs
-        return value
+            program.append(("neg", None))
+        while tokens[-1][0] in ("+", "-"):
+            sign = tokens.pop()
+            term()
+            program.append(sign)
 
-    def _term(self) -> EqClass:
-        value = self._factor()
-        while self._peek() == ("op", "*"):
-            self._take()
-            value = value * self._factor()
-        return value
+    def term():
+        factor()
+        while tokens[-1][0] == "*":
+            tokens.pop()
+            factor()
+            program.append(("*", None))
 
-    def _factor(self) -> EqClass:
-        value = self._primary()
-        while self._peek() == ("op", "^"):
-            self._take()
-            kind, exp = self._take()
+    def factor():
+        kind, value = tokens.pop()
+        if kind == "(":
+            expr()
+            if tokens.pop()[0] != ")":
+                raise ParseError("unbalanced parentheses")
+        elif kind == "zeta" and shape.k != 1:
+            raise EqschubError("zeta is only defined on Gr(1, n)")
+        elif kind in ("s", "zeta", "int"):
+            program.append((kind, _check_partition(value, shape) if kind == "s" else value))
+        else:
+            raise ParseError(f"unexpected token {kind!r}")
+        while tokens[-1][0] == "^":
+            tokens.pop()
+            kind, exponent = tokens.pop()
             if kind != "int":
                 raise ParseError("exponent must be an integer literal")
-            if exp > MAX_EXPONENT:
-                raise ParseError(f"exponent {exp} exceeds {MAX_EXPONENT}")
-            value = value ** exp
-        return value
+            if exponent > MAX_EXPONENT:
+                raise ParseError(f"exponent {exponent} exceeds {MAX_EXPONENT}")
+            program.append(("^", exponent))
 
-    def _primary(self) -> EqClass:
-        kind, payload = self._take()
-        if kind == "schur":
-            return schubert_class(payload, self.shape)
-        if kind == "zeta":
-            if self.shape.k != 1:
-                raise EqschubError("zeta is only defined on Gr(1, n)")
-            return projective_zeta(self.shape.n)
-        if kind == "int":
-            return constant_class(self.shape, payload)
-        if kind == "op" and payload == "(":
-            value = self._expr()
-            if self._take() != ("op", ")"):
-                raise ParseError("unbalanced parentheses")
-            return value
-        raise ParseError(f"unexpected token {payload!r}")
+    try:
+        expr()
+    except RecursionError:
+        raise ParseError("class expression nests too deeply") from None
+    if len(tokens) > 1:
+        raise ParseError("trailing tokens in class expression")
+    return program
 
 
 def parse_class_expr(text: str, shape: GrassmannianShape) -> EqClass:
-    try:
-        return _ExprParser(text, shape).parse()
-    except RecursionError:
-        raise ParseError("class expression nests too deeply") from None
+    """The class that `text` names on `shape`: its program run on a stack."""
+    stack = []
+    for op, arg in _class_program(text, shape):
+        if op == "s":
+            stack.append(schubert_class(arg, shape))
+        elif op == "zeta":
+            stack.append(projective_zeta(shape.n))
+        elif op == "int":
+            stack.append(constant_class(shape, arg))
+        elif op == "neg":
+            stack[-1] = -stack[-1]
+        elif op == "^":
+            stack[-1] = stack[-1] ** arg
+        else:
+            rhs = stack.pop()
+            stack[-1] = stack[-1] * rhs if op == "*" else stack[-1] + rhs if op == "+" else stack[-1] - rhs
+    return stack.pop()
 
 
 # ---------------------------------------------------------------- subcommands

@@ -459,31 +459,35 @@ class Polynomial:
 
         where family is t, x, u or y, the rest are decimal digits with index
         and exponent at least 1, and whitespace may stand between symbols.
-        Other text raises ParseError from the term where it goes off; an index
-        above MAX_INDEX or exponent above MAX_EXPONENT, MonomialOverflow."""
+        Other text, or a digit run longer than int() reads, raises ParseError
+        from the term where it goes off; an index above MAX_INDEX or exponent
+        above MAX_EXPONENT, MonomialOverflow."""
         if not text.strip():
             raise ParseError("empty polynomial text")
         out, pos = {}, 0
-        while pos < len(text):
-            m = _TERM.match(text, pos)
-            if m is None:
-                raise ParseError(f"bad polynomial text at {text[pos:pos+12]!r}")
-            coeff, mono = (-1) ** m[1].count("-"), _ONE
-            for factor in m[2].split("*"):
-                name, _, exp = factor.strip().partition("^")
-                if name[0] not in _RANK:
-                    coeff *= int(name)
-                    continue
-                index, exp = int(name[1:]), int(exp or 1)
-                if index < 1 or exp < 1:
+        try:
+            while pos < len(text):
+                m = _TERM.match(text, pos)
+                if m is None:
                     raise ParseError(f"bad polynomial text at {text[pos:pos+12]!r}")
-                shift = _shift(_RANK[name[0]], index)
-                total = ((mono >> shift) & MAX_EXPONENT) + exp
-                if total > MAX_EXPONENT:
-                    raise MonomialOverflow(f"exponent {total} exceeds {MAX_EXPONENT}")
-                mono += exp << shift
-            out[mono] = out.get(mono, 0) + coeff
-            pos = m.end()
+                coeff, mono = (-1) ** m[1].count("-"), _ONE
+                for factor in m[2].split("*"):
+                    name, _, exp = factor.strip().partition("^")
+                    if name[0] not in _RANK:
+                        coeff *= int(name)
+                        continue
+                    index, exp = int(name[1:]), int(exp or 1)
+                    if index < 1 or exp < 1:
+                        raise ParseError(f"bad polynomial text at {text[pos:pos+12]!r}")
+                    shift = _shift(_RANK[name[0]], index)
+                    total = ((mono >> shift) & MAX_EXPONENT) + exp
+                    if total > MAX_EXPONENT:
+                        raise MonomialOverflow(f"exponent {total} exceeds {MAX_EXPONENT}")
+                    mono += exp << shift
+                out[mono] = out.get(mono, 0) + coeff
+                pos = m.end()
+        except ValueError:  # int() of more digits than it reads
+            raise ParseError(f"digit run too long in polynomial text at {text[pos:pos+12]!r}") from None
         return cls(out)
 
 

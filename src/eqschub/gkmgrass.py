@@ -38,6 +38,7 @@ from .ytcomb import (
     PivotSubset,
     _Record,
     _check_partition,
+    _check_subset,
     normal_weights,
     partition_to_subset,
     subset_to_partition,
@@ -191,9 +192,9 @@ class EqClass:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "EqClass":
-        """Inverse of to_json_dict.  Input of the wrong structure, two keys
-        naming the same subset, or a restriction with a variable other than
-        t_1..t_n raises ParseError."""
+        """Inverse of to_json_dict.  Input of the wrong structure, a key that
+        names no pivot subset of Gr(k, n) or names one twice, or a restriction
+        with a variable other than t_1..t_n raises ParseError."""
         if not isinstance(data, Mapping) or not {"n", "k", "restrictions"} <= data.keys():
             raise ParseError("class JSON must be an object with keys n, k and restrictions")
         n, k, values = data["n"], data["k"], data["restrictions"]
@@ -204,7 +205,11 @@ class EqClass:
         shape = GrassmannianShape(n, k)
         restrictions = {}
         for key, text in values.items():
-            subset = PivotSubset(tuple(int(s) for s in key.strip("{}").split(",") if s))
+            try:
+                elements = tuple(int(s) for s in key.strip("{}").split(",") if s)
+                subset = _check_subset(PivotSubset(elements), shape)
+            except ValueError:
+                raise ParseError(f"class JSON key {key!r} is not a pivot subset of Gr({k},{n})") from None
             if subset in restrictions:
                 raise ParseError(f"class JSON names the subset {subset} twice")
             value = Polynomial.parse(text)

@@ -1,6 +1,7 @@
 """Independent oracles the tests check the engine against.
 
-Nothing here calls the engine's class construction: the LR counter is a
+Apart from the class-expression reader at the end, nothing here calls the
+engine's class construction: the LR counter is a
 direct backtracking enumeration of skew tableaux, the bialternant Schur
 polynomial goes through sympy, and the fixed-point restriction substitutes
 into an expanded polynomial with the generic arithmetic of `exactalg`.
@@ -15,7 +16,9 @@ t_i -> t_n - (y_i + ... + y_{n-1}) all at once with the generic
 of signed products of entries, and the Chern series of Q - C^m at a fixed
 point is built factor by factor for each m with generic products.
 Polynomial text is read by a tokenizer and a token loop, which check every
-token before any syntax.
+token before any syntax.  Class expressions are read by recursive descent
+over the tokens, building each class with the engine's constructors as soon
+as it is read, so that reader checks only the reading.
 
 The `tuple_*` functions are the polynomial arithmetic in the engine's former
 monomial layout: a tuple of ((rank, index), exponent) pairs sorted by
@@ -34,9 +37,11 @@ from math import prod
 
 import sympy
 
+from eqschub.cli import _parse_partition
 from eqschub.exactalg import (
     FAMILIES,
     MAX_EXPONENT,
+    EqschubError,
     MonomialOverflow,
     ParseError,
     Polynomial,
@@ -53,7 +58,10 @@ from eqschub.gkmgrass import (
     GkmCheckResult,
     GkmViolation,
     PositivityCertificate,
+    constant_class,
     gkm_graph,
+    projective_zeta,
+    schubert_class,
 )
 from eqschub.ytcomb import Partition, subset_to_partition
 
@@ -494,3 +502,115 @@ def parse_by_tokens(text: str) -> Polynomial:
             raise ParseError("terms must be joined by '+' or '-'")
         out[mono] = out.get(mono, 0) + coeff
     return Polynomial(out)
+
+
+# ---------------------------------------------------- descent expression reader
+
+_EXPR_TOKEN = re.compile(
+    r"\s*(?:(?P<schur>s\d+(?:,\d+)*)|(?P<zeta>zeta)|(?P<int>\d+)|(?P<op>[-+*^()]))"
+)
+
+
+def _expr_tokens(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _EXPR_TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ParseError(f"bad class expression at {text[pos:pos+12]!r}")
+            break
+        if m.group("schur"):
+            tokens.append(("schur", _parse_partition(m.group("schur")[1:])))
+        elif m.group("zeta"):
+            tokens.append(("zeta", None))
+        elif m.group("int"):
+            tokens.append(("int", int(m.group("int"))))
+        else:
+            tokens.append(("op", m.group("op")))
+        pos = m.end()
+    return tokens
+
+
+class _ExprParser:
+    """Recursive descent over +, -, *, ^ with s<partition>, zeta, and ints."""
+
+    def __init__(self, text: str, shape):
+        self.tokens = _expr_tokens(text)
+        self.pos = 0
+        self.shape = shape
+
+    def _peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+
+    def _take(self):
+        token = self._peek()
+        self.pos += 1
+        return token
+
+    def parse(self) -> EqClass:
+        if not self.tokens:
+            raise ParseError("empty class expression")
+        value = self._expr()
+        if self.pos != len(self.tokens):
+            raise ParseError("trailing tokens in class expression")
+        return value
+
+    def _expr(self) -> EqClass:
+        negate = False
+        while self._peek() == ("op", "-") or self._peek() == ("op", "+"):
+            if self._take()[1] == "-":
+                negate = not negate
+        value = self._term()
+        if negate:
+            value = -value
+        while self._peek()[0] == "op" and self._peek()[1] in "+-":
+            op = self._take()[1]
+            rhs = self._term()
+            value = value + (-rhs) if op == "-" else value + rhs
+        return value
+
+    def _term(self) -> EqClass:
+        value = self._factor()
+        while self._peek() == ("op", "*"):
+            self._take()
+            value = value * self._factor()
+        return value
+
+    def _factor(self) -> EqClass:
+        value = self._primary()
+        while self._peek() == ("op", "^"):
+            self._take()
+            kind, exp = self._take()
+            if kind != "int":
+                raise ParseError("exponent must be an integer literal")
+            if exp > MAX_EXPONENT:
+                raise ParseError(f"exponent {exp} exceeds {MAX_EXPONENT}")
+            value = value ** exp
+        return value
+
+    def _primary(self) -> EqClass:
+        kind, payload = self._take()
+        if kind == "schur":
+            return schubert_class(payload, self.shape)
+        if kind == "zeta":
+            if self.shape.k != 1:
+                raise EqschubError("zeta is only defined on Gr(1, n)")
+            return projective_zeta(self.shape.n)
+        if kind == "int":
+            return constant_class(self.shape, payload)
+        if kind == "op" and payload == "(":
+            value = self._expr()
+            if self._take() != ("op", ")"):
+                raise ParseError("unbalanced parentheses")
+            return value
+        raise ParseError(f"unexpected token {payload!r}")
+
+
+def class_expr_by_descent(text: str, shape) -> EqClass:
+    """A class expression read by recursive descent, each class built as
+    soon as it is read."""
+    try:
+        return _ExprParser(text, shape).parse()
+    except RecursionError:
+        raise ParseError("class expression nests too deeply") from None

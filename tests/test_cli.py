@@ -1,15 +1,19 @@
 import json
 import os
+import random
+import re
 import time
 from pathlib import Path
 
 import pytest
 
 from eqschub.cli import main, parse_class_expr, parse_table
-from eqschub.exactalg import ParseError, t
-from eqschub.gkmgrass import constant_class, projective_zeta, schubert_class
+from eqschub.exactalg import EqschubError, ParseError, t
+from eqschub.gkmgrass import EqClass, constant_class, projective_zeta, schubert_class
 from eqschub.suites import run_suites
 from eqschub.ytcomb import GrassmannianShape
+
+from oracles import class_expr_by_descent
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -216,6 +220,30 @@ def test_deeply_nested_class_json(tmp_path, capsys):
     assert err == "eqschub: error: class file nests too deeply\n"
 
 
+_LONG_KEY = "{" + "1" * 5000 + ",2}"
+
+
+@pytest.mark.parametrize("restrictions, error", [
+    ({"{a,b}": "1"}, "class JSON key '{a,b}' is not a pivot subset of Gr(2,4)"),
+    ({"{2,1}": "1"}, "class JSON key '{2,1}' is not a pivot subset of Gr(2,4)"),
+    ({"{1}": "1"}, "class JSON key '{1}' is not a pivot subset of Gr(2,4)"),
+    ({"{1,5}": "1"}, "class JSON key '{1,5}' is not a pivot subset of Gr(2,4)"),
+    ({"{0,1}": "1"}, "class JSON key '{0,1}' is not a pivot subset of Gr(2,4)"),
+    ({_LONG_KEY: "1"}, f"class JSON key {_LONG_KEY!r} is not a pivot subset of Gr(2,4)"),
+    ({"{1,2}": "1" * 5000}, "digit run too long in polynomial text at '111111111111'"),
+], ids=["not-digits", "decreasing", "wrong-size", "out-of-range", "zero", "key-digit-run",
+        "polynomial-digit-run"])
+def test_class_json_refusal_text(tmp_path, capsys, restrictions, error):
+    """Each fault ends in a ParseError that names the input, not in the text
+    of the ValueError that int() or PivotSubset raised."""
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps({"n": 4, "k": 2, "restrictions": restrictions}))
+    code, out, err = run_cli(capsys, "gkm-check", "--n", "4", "--k", "2", "--in", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"eqschub: error: {error}\n"
+
+
 # --------------------------------------------------------------- size limits
 
 @pytest.mark.parametrize("argv, error", [
@@ -231,14 +259,23 @@ def test_deeply_nested_class_json(tmp_path, capsys):
     (("integrate", "--n", "4", "--k", "2", "--class", "(" * 5000 + "s1" + ")" * 5000),
      "class expression nests too deeply"),
     (("schur", "--shape", "33", "--k", "1"), "variable u33: indices go up to 32"),
+    (("integrate", "--n", "4", "--k", "2", "--class", "s1^120 )"),
+     "trailing tokens in class expression"),
+    (("integrate", "--n", "4", "--k", "2", "--class", "s1^120 + zeta"),
+     "zeta is only defined on Gr(1, n)"),
+    (("integrate", "--n", "4", "--k", "2", "--class", "1" * 5000 + "*s1"),
+     "digit run too long in class expression at '111111111111'"),
 ], ids=["gr-20-40", "n-above-32", "too-many-points", "schur-restrict", "huge-exponent",
-        "deep-nesting", "schur-long-row"])
+        "deep-nesting", "schur-long-row", "power-then-trailing", "power-then-zeta",
+        "digit-run"])
 def test_cli_refuses_oversized_input_quickly(capsys, argv, error):
     """C(40, 20) is about 1.4e11 points, C(16, 8) = 12,870 is above 10,000,
     t33 does not exist, the power would loop 10^8 times, the parentheses
-    nest deeper than the interpreter's recursion limit, and the one row of
-    33 boxes would sum 2^33 tableau products before it reached u33: each is
-    refused before any class or tableau is built."""
+    nest deeper than the interpreter's recursion limit, the one row of 33
+    boxes would sum 2^33 tableau products before it reached u33, two
+    expressions would build s1^120 before their fault, and the integer has
+    more digits than int() reads: each is refused before any class or
+    tableau is built."""
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 10
@@ -287,6 +324,40 @@ def test_expression_parser_errors():
     for text in ("", "s1 +", "s1 ^ s1", "(s1", "s1 @ s2", "s1 s2", "s1^65536"):
         with pytest.raises(ParseError):
             parse_class_expr(text, gr24)
+
+
+_EXPR_PIECES = (
+    "s1", "s2", "s1,1", "s2,1", "s3", "s0", "s1,2", "s1,0", "zeta", "0", "1", "2", "3", "7",
+    "65536", "+", "-", "*", "^", "(", ")", " ", "\t", "$", "s",
+)
+
+
+def _expr_outcome(read, text, shape):
+    try:
+        c = read(text, shape)
+    except (EqschubError, ValueError) as err:
+        return type(err), str(err)
+    return c, c._gkm
+
+
+def test_expression_reader_matches_descent_reader():
+    """The program reader gives the descent reader's value and mark, or its
+    exception type and text.  Texts with two powers, or a power above 12
+    that the bound does not refuse, are skipped to keep the builds short."""
+    rng = random.Random(21)
+    shapes = (GrassmannianShape(4, 2), GrassmannianShape(3, 1), GrassmannianShape(5, 2))
+    compared = accepted = 0
+    while compared < 20_000:
+        text = "".join(rng.choice(_EXPR_PIECES) for _ in range(rng.randint(0, 11)))
+        powers = [int(e) for e in re.findall(r"\^\s*(\d+)", text)]
+        if text.count("^") > 1 or any(12 < e <= 65535 for e in powers):
+            continue
+        shape = rng.choice(shapes)
+        expected = _expr_outcome(class_expr_by_descent, text, shape)
+        assert _expr_outcome(parse_class_expr, text, shape) == expected, (text, shape)
+        compared += 1
+        accepted += isinstance(expected[0], EqClass)
+    assert accepted > 1000
 
 
 # -------------------------------------------------------------- determinism

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from eqschub.cli import parse_class_expr
 from eqschub.exactalg import (
     MonomialOverflow,
+    ParseError,
     Polynomial,
     _chern_series,
     _divide_series,
@@ -111,6 +112,19 @@ def test_eqclass_json_round_trip():
     assert data["n"] == 4 and data["k"] == 2
     assert len(data["restrictions"]) == 6  # all entries materialized
     assert EqClass.from_json_dict(data) == cls
+
+
+def test_class_json_keys_accept_loose_subset_text():
+    # int() reads each comma-separated piece, so spaces, a missing brace and
+    # a doubled comma stay accepted; a key that names no subset is refused.
+    cls = schubert_class((1,), GR24)
+    texts = [str(cls.restriction(I)) for I in GR24.subsets()]
+    keys = ["{1, 2}", "1,3", "{1,4}", "{2,,3}", "{ 2 ,4 }", "{3,4}"]
+    data = {"n": 4, "k": 2, "restrictions": dict(zip(keys, texts))}
+    assert EqClass.from_json_dict(data) == cls
+    for key in ("{a,b}", "{2,1}", "{1}", "{1,5}", "{1,2,3}"):
+        with pytest.raises(ParseError, match="class JSON key"):
+            EqClass.from_json_dict({"n": 4, "k": 2, "restrictions": {key: "1"}})
 
 
 # -------------------------------------------------------------- euler class

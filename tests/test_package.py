@@ -67,6 +67,14 @@ def test_polynomial_text_has_one_reader():
     assert not {"_tokenize_poly", "_POLY_TOKEN"} & set(vars(eqschub.exactalg))
 
 
+def test_class_expressions_have_one_reader():
+    # The CLI reads a class expression into a checked postfix program; the
+    # descent reader that built classes as it read is only a test oracle.
+    import eqschub.cli
+
+    assert not {"_ExprParser", "_expr_tokens"} & set(vars(eqschub.cli))
+
+
 def test_gkmgrass_holds_no_monomial_layout_names():
     # The packed monomial layout is a decision of exactalg alone; gkmgrass
     # reaches it only through Polynomial methods and exactalg's helpers.
