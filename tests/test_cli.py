@@ -235,7 +235,7 @@ _LONG_KEY = "{" + "1" * 5000 + ",2}"
         "polynomial-digit-run"])
 def test_class_json_refusal_text(tmp_path, capsys, restrictions, error):
     """Each fault ends in a ParseError that names the input, not in the text
-    of the ValueError that int() or PivotSubset raised."""
+    of the ValueError that int(), PivotSubset or EqClass raised."""
     path = tmp_path / "class.json"
     path.write_text(json.dumps({"n": 4, "k": 2, "restrictions": restrictions}))
     code, out, err = run_cli(capsys, "gkm-check", "--n", "4", "--k", "2", "--in", str(path))
