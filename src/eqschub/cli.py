@@ -53,11 +53,15 @@ VERIFY_FAILURE = 2
 MAX_FIXED_POINTS = 10_000
 
 
-def _parse_partition(text: str) -> Partition:
-    try:
-        parts = [int(s) for s in text.split(",")]
-    except ValueError:
-        raise ParseError(f"bad partition {text!r}; expected digits joined by commas")
+def _parse_partition(text: str, where: str = "partition") -> Partition:
+    parts = []
+    for part in text.split(","):
+        try:
+            parts.append(int(part))
+        except ValueError:
+            if part.isdecimal():  # more digits than int() reads
+                raise ParseError(f"digit run too long in {where} at {part[:12]!r}") from None
+            raise ParseError(f"bad partition {text[:12]!r}; expected digits joined by commas") from None
     return Partition.of(parts)
 
 
@@ -94,7 +98,7 @@ def _class_program(text: str, shape: GrassmannianShape) -> list[tuple]:
                 word = int(word)
             except ValueError:  # more digits than int() reads
                 raise ParseError(f"digit run too long in class expression at {word[:12]!r}") from None
-        tokens.append(("s", _parse_partition(word[1:])) if kind == "s"
+        tokens.append(("s", _parse_partition(word[1:], "class expression")) if kind == "s"
                       else (kind, word) if kind == "int" else (word, None))
     if not tokens:
         raise ParseError("empty class expression")

@@ -1,9 +1,13 @@
 """Double Schur polynomials and their specializations, all as one tableau sum.
 
-Each value is a sum over semistandard tableaux of a product of one linear
-factor per box.  The double Schur polynomial takes x_s - u_a, the ordinary
-one x_s, and the restriction to a fixed point of Gr(k, n) the weight
-t_{n+1-a} - t_{i_s} directly, so no polynomial is substituted into.
+Each of five values is a sum over semistandard tableaux, from the one
+backtracking of `ytcomb`, of a product of one linear factor per box.  Over
+every tableau with entries <= k, the double Schur polynomial takes
+x_s - u_a, the ordinary one x_s, and the restriction to a fixed point of
+Gr(k, n) the weight t_{n+1-a} - t_{i_s} directly, so no polynomial is
+substituted into.  Over flagged tableaux, which are the excited Young
+diagrams, the Schubert and opposite restrictions of `gkmgrass` take a
+weight t_j - t_i (i < j), so no terms cancel.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from .ytcomb import (
     GrassmannianShape,
     Partition,
     _check_partition,
+    _flagged_tableaux,
     partition_to_subset,
     ssyt_enumerate,
 )
@@ -22,13 +27,25 @@ class TooManyRows(EqschubError):
     """The partition has more rows than there are x variables."""
 
 
-def _tableau_sum(lam: Partition, k: int, factor) -> Polynomial:
-    """Sum over SSYT with entries <= k of prod factor(s, s + j - i).
+def _tableau_sum(tableaux, factor) -> Polynomial:
+    """Sum over the tableaux of prod factor(s, s + j - i).
 
-    Each tableau comes from `ssyt_enumerate` as its tuple of rows.  Box
-    coordinates (i, j) are 1-indexed matrix style and s is the entry of the
-    box; column strictness keeps the second index s + j - i >= 1.
+    Each tableau is its tuple of rows.  Box coordinates (i, j) are 1-indexed
+    matrix style and s is the entry of the box; column strictness keeps the
+    second index s + j - i >= 1.
     """
+    total = Polynomial.zero()
+    for rows in tableaux:
+        term = Polynomial.one()
+        for i, row in enumerate(rows, start=1):
+            for j, s in enumerate(row, start=1):
+                term = term * factor(s, s + j - i)
+        total = total + term
+    return total
+
+
+def _schur_sum(lam: Partition, k: int, factor) -> Polynomial:
+    """The tableau sum over every SSYT with entries <= k."""
     if len(lam.parts) > k:
         raise TooManyRows(f"{lam} has more than {k} rows")
     # Entries reach k, and s + j - i reaches k + lam_1 - (the number of rows
@@ -36,14 +53,7 @@ def _tableau_sum(lam: Partition, k: int, factor) -> Polynomial:
     # above MAX_INDEX before any tableau is enumerated.
     if lam.parts:
         factor(k, k + lam.parts[0] - lam.parts.count(lam.parts[0]))
-    total = Polynomial.zero()
-    for rows in ssyt_enumerate(lam, k):
-        term = Polynomial.one()
-        for i, row in enumerate(rows, start=1):
-            for j, s in enumerate(row, start=1):
-                term = term * factor(s, s + j - i)
-        total = total + term
-    return total
+    return _tableau_sum(ssyt_enumerate(lam, k), factor)
 
 
 def double_schur(lam, k: int) -> Polynomial:
@@ -53,7 +63,7 @@ def double_schur(lam, k: int) -> Polynomial:
     when every u variable is set to zero; the test suite checks both facts
     rather than assuming them here.
     """
-    return _tableau_sum(Partition.of(lam), k, lambda s, a: x(s) - u(a))
+    return _schur_sum(Partition.of(lam), k, lambda s, a: x(s) - u(a))
 
 
 def restrict_schur(lam, mu, shape: GrassmannianShape) -> Polynomial:
@@ -65,9 +75,28 @@ def restrict_schur(lam, mu, shape: GrassmannianShape) -> Polynomial:
     """
     lam = _check_partition(lam, shape)
     pivots = partition_to_subset(mu, shape).elements
-    return _tableau_sum(lam, shape.k, lambda s, a: t(shape.n + 1 - a) - t(pivots[s - 1]))
+    return _schur_sum(lam, shape.k, lambda s, a: t(shape.n + 1 - a) - t(pivots[s - 1]))
 
 
 def ordinary_schur(lam, k: int) -> Polynomial:
     """The double Schur polynomial at u = 0: the tableau sum of prod x_s."""
-    return _tableau_sum(Partition.of(lam), k, lambda s, a: x(s))
+    return _schur_sum(Partition.of(lam), k, lambda s, a: x(s))
+
+
+def _flagged_sum(lam: Partition, mu: Partition, rows, cols) -> Polynomial:
+    """Sum over the excited Young diagrams of lam inside mu of the product of
+    one weight t_{cols[c-1]} - t_{rows[r-1]} per box (r, c); zero unless mu
+    contains lam.
+
+    The diagrams are the semistandard tableaux of shape lam whose box (i, j),
+    holding s, moves to the box (s, s + j - i) of mu (Morales-Pak-Panova,
+    J. Combin. Theory A 154, 2018, section 3).  So box (i, j) holds at most
+    the number of s with mu_s - s >= j - i, a top entry, since mu_s - s
+    strictly falls as s grows.
+    """
+    if not mu.contains(lam):
+        return Polynomial.zero()
+    tops = [sum(m - s >= j - i for s, m in enumerate(mu.parts, start=1))
+            for i, width in enumerate(lam.parts, start=1) for j in range(1, width + 1)]
+    return _tableau_sum(_flagged_tableaux(lam.parts, tops),
+                        lambda s, a: t(cols[a - 1]) - t(rows[s - 1]))

@@ -1,10 +1,10 @@
 """The fixed-point model of equivariant cohomology for Gr(k, n).
 
 A class is stored as its tuple of restrictions, one polynomial in the t
-variables per pivot subset.  Schubert and opposite classes are built from
-excited Young diagrams: each restriction is a sum of products of positive
-weights t_j - t_i (i < j), one per box, with no terms that cancel.
-Everything else (products, basis expansion, structure constants,
+variables per pivot subset.  Schubert and opposite restrictions are sums
+over excited Young diagrams, taken as the flagged tableaux of `dschur`'s one
+tableau sum: products of positive weights t_j - t_i (i < j), one per box,
+with no terms that cancel.  Everything else (products, basis expansion, structure constants,
 positivity certificates, integration, the moment graph membership test,
 determinantal classes) works on those restriction tuples with exact
 arithmetic.
@@ -32,6 +32,7 @@ from .exactalg import (
     _top_degree_value,
     _weight_indices,
 )
+from .dschur import _flagged_sum
 from .ytcomb import (
     GrassmannianShape,
     Partition,
@@ -256,48 +257,9 @@ def tangent_euler(I, shape: GrassmannianShape) -> Polynomial:
     return prod(tangent_weights(I, shape), start=Polynomial.one())
 
 
-def _excited_sum(lam: Partition, mu: Partition, rows, cols) -> Polynomial:
-    """Sum over the excited Young diagrams of lam inside mu of the product of
-    one weight t_{cols[c-1]} - t_{rows[r-1]} per box (r, c).
-
-    The diagrams are what lam's own diagram becomes under excited moves: a
-    box (r, c) moves to (r+1, c+1) when that box lies in mu and none of
-    (r+1, c), (r, c+1), (r+1, c+1) is in the diagram.  The sum is empty,
-    so zero, when mu does not contain lam.
-    """
-    if not mu.contains(lam):
-        return Polynomial.zero()
-    lengths = mu.parts
-    weight = {
-        (r, c): t(cols[c - 1]) - t(rows[r - 1])
-        for r, width in enumerate(lengths, start=1)
-        for c in range(1, width + 1)
-    }
-    start = frozenset((r, c) for r, width in enumerate(lam.parts, start=1) for c in range(1, width + 1))
-    seen = {start}
-    stack = [start]
-    while stack:
-        diagram = stack.pop()
-        for r, c in diagram:
-            if (
-                r < len(lengths) and c < lengths[r]
-                and (r + 1, c) not in diagram
-                and (r, c + 1) not in diagram
-                and (r + 1, c + 1) not in diagram
-            ):
-                moved = diagram - {(r, c)} | {(r + 1, c + 1)}
-                if moved not in seen:
-                    seen.add(moved)
-                    stack.append(moved)
-    total = Polynomial.zero()
-    for diagram in seen:
-        total = total + prod((weight[box] for box in sorted(diagram)), start=Polynomial.one())
-    return total
-
-
 def schubert_class(lam, shape: GrassmannianShape) -> EqClass:
     """The class whose value at the point of mu is the sum over the excited
-    Young diagrams of lam inside mu (Ikeda-Naruse, Kreiman).
+    Young diagrams of lam inside mu (Ikeda-Naruse, Kreiman), as flagged tableaux.
 
     Box (r, c) of mu carries t_{J_c} - t_{I_r}, where I_r is the r-th pivot
     of mu in ascending order and J_c the c-th largest non-pivot.  Each
@@ -311,7 +273,7 @@ def schubert_class(lam, shape: GrassmannianShape) -> EqClass:
     if hit is not None:
         return hit
     restrictions = {
-        J: _excited_sum(lam, subset_to_partition(J, shape), J.elements, J.missing(shape.n)[::-1])
+        J: _flagged_sum(lam, subset_to_partition(J, shape), J.elements, J.missing(shape.n)[::-1])
         for J in shape.subsets()
     }
     result = _marked(EqClass(shape, restrictions))
@@ -322,7 +284,7 @@ def schubert_class(lam, shape: GrassmannianShape) -> EqClass:
 def opposite_schubert_class(lam, shape: GrassmannianShape) -> EqClass:
     """The Poincare-dual basis element for lam.
 
-    The same excited sum for the rotated box complement of lam, transported
+    The same flagged sum for the rotated box complement of lam, transported
     by the flips i -> n+1-i of pivot entries and t_i -> t_{n+1-i} of
     weights: at the point J the diagrams lie in the partition of J's
     reflection, and box (r, c) carries t_{J'_c} - t_{J_r}, with J_r the r-th
@@ -334,12 +296,8 @@ def opposite_schubert_class(lam, shape: GrassmannianShape) -> EqClass:
     """
     complement = Partition.of(lam).box_complement(shape)
     restrictions = {
-        J: _excited_sum(
-            complement,
-            subset_to_partition(J.reflected(shape.n), shape),
-            J.elements[::-1],
-            J.missing(shape.n),
-        )
+        J: _flagged_sum(complement, subset_to_partition(J.reflected(shape.n), shape),
+                        J.elements[::-1], J.missing(shape.n))
         for J in shape.subsets()
     }
     return _marked(EqClass(shape, restrictions))

@@ -256,6 +256,12 @@ def ssyt_enumerate(lam, k: int) -> list[tuple[tuple[int, ...], ...]]:
     parts = Partition.of(lam).parts
     if k < 0:
         raise ValueError("entry bound must be nonnegative")
+    return _flagged_tableaux(parts, [k] * sum(parts))
+
+
+def _flagged_tableaux(parts: tuple[int, ...], tops) -> list[tuple[tuple[int, ...], ...]]:
+    """The semistandard tableaux of shape parts whose box p of the row-reading
+    word holds at most tops[p], in the order of `ssyt_enumerate`."""
     # For box p of the row-reading word: the word positions of the box to its
     # left and of the box above it, -1 where there is none.
     left, above, rows = [], [], []
@@ -280,7 +286,7 @@ def ssyt_enumerate(lam, k: int) -> list[tuple[tuple[int, ...], ...]]:
             v = word[left[p]] if left[p] >= 0 else 1
             if above[p] >= 0 and word[above[p]] >= v:
                 v = word[above[p]] + 1
-        if v > k:
+        if v > tops[p]:
             word[p] = 0
             p -= 1
         else:

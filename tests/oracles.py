@@ -7,7 +7,9 @@ polynomial goes through sympy, and the fixed-point restriction substitutes
 into an expanded polynomial with the generic arithmetic of `exactalg`.
 Schubert classes come from the semistandard tableau sum `restrict_schur` at
 every point, and opposite classes from those by reflecting the subsets and
-substituting t_i -> t_{n+1-i}.  The moment-graph test divides each edge's
+substituting t_i -> t_{n+1-i}.  Excited Young diagrams come from a search
+over excited moves on sets of boxes, not from the flagged tableaux that
+the engine sums.  The moment-graph test divides each edge's
 difference by its weight and certifies the verdict by multiplying back, and
 the integral is a sum of fractions over the fixed points at one integer
 point.  The Graham positivity certificate substitutes
@@ -310,6 +312,35 @@ def restrict_by_substitution(double_schur_value, pivots, n: int):
     return double_schur_value.substitute(mapping)
 
 
+def excited_diagrams(lam, mu) -> set[frozenset]:
+    """The excited Young diagrams of lam inside mu, each as its set of boxes
+    (r, c): what lam's own diagram becomes under excited moves, found by a
+    search over frozensets.  A box (r, c) moves to (r+1, c+1) when that box
+    lies in mu and none of (r+1, c), (r, c+1), (r+1, c+1) is in the diagram.
+    Empty when mu does not contain lam."""
+    lam, mu = Partition.of(lam), Partition.of(mu)
+    if not mu.contains(lam):
+        return set()
+    lengths = mu.parts
+    start = frozenset((r, c) for r, width in enumerate(lam.parts, start=1) for c in range(1, width + 1))
+    seen = {start}
+    stack = [start]
+    while stack:
+        diagram = stack.pop()
+        for r, c in diagram:
+            if (
+                r < len(lengths) and c < lengths[r]
+                and (r + 1, c) not in diagram
+                and (r, c + 1) not in diagram
+                and (r + 1, c + 1) not in diagram
+            ):
+                moved = diagram - {(r, c)} | {(r + 1, c + 1)}
+                if moved not in seen:
+                    seen.add(moved)
+                    stack.append(moved)
+    return seen
+
+
 @lru_cache(maxsize=None)
 def schubert_by_tableau_sum(lam, shape) -> EqClass:
     """The Schubert class whose restriction at each point mu is the
@@ -521,7 +552,7 @@ def _expr_tokens(text: str):
                 raise ParseError(f"bad class expression at {text[pos:pos+12]!r}")
             break
         if m.group("schur"):
-            tokens.append(("schur", _parse_partition(m.group("schur")[1:])))
+            tokens.append(("schur", _parse_partition(m.group("schur")[1:], "class expression")))
         elif m.group("zeta"):
             tokens.append(("zeta", None))
         elif m.group("int"):

@@ -265,23 +265,43 @@ def test_class_json_refusal_text(tmp_path, capsys, restrictions, error):
      "zeta is only defined on Gr(1, n)"),
     (("integrate", "--n", "4", "--k", "2", "--class", "1" * 5000 + "*s1"),
      "digit run too long in class expression at '111111111111'"),
+    (("integrate", "--n", "4", "--k", "2", "--class", "s1 + s" + "1" * 5000),
+     "digit run too long in class expression at '111111111111'"),
+    (("class", "--n", "4", "--k", "2", "--shape", "1" * 5000),
+     "digit run too long in partition at '111111111111'"),
+    (("lr", "--n", "4", "--k", "2", "--a", "1" * 5000, "--b", "1"),
+     "digit run too long in partition at '111111111111'"),
+    (("schur", "--shape", "1", "--k", "2", "--n", "4", "--restrict-to", "2," + "1" * 5000),
+     "digit run too long in partition at '111111111111'"),
+    (("class", "--n", "4", "--k", "2", "--shape", "1,x" + "1" * 5000),
+     "bad partition '1,x111111111'; expected digits joined by commas"),
 ], ids=["gr-20-40", "n-above-32", "too-many-points", "schur-restrict", "huge-exponent",
         "deep-nesting", "schur-long-row", "power-then-trailing", "power-then-zeta",
-        "digit-run"])
+        "digit-run", "s-token-digit-run", "class-shape-digit-run", "lr-digit-run",
+        "schur-restrict-to-digit-run", "long-bad-partition"])
 def test_cli_refuses_oversized_input_quickly(capsys, argv, error):
     """C(40, 20) is about 1.4e11 points, C(16, 8) = 12,870 is above 10,000,
     t33 does not exist, the power would loop 10^8 times, the parentheses
     nest deeper than the interpreter's recursion limit, the one row of 33
     boxes would sum 2^33 tableau products before it reached u33, two
-    expressions would build s1^120 before their fault, and the integer has
-    more digits than int() reads: each is refused before any class or
-    tableau is built."""
+    expressions would build s1^120 before their fault, the integer or the
+    partition part has more digits than int() reads, and the bad partition
+    is quoted in 12 characters: each is refused before any class or tableau
+    is built."""
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 10
     assert code == 1
     assert out == ""
     assert err == f"eqschub: error: {error}\n"
+
+
+@pytest.mark.parametrize("text", ["1,,2", "1,x"])
+def test_bad_partition_quotes_short_text_whole(capsys, text):
+    code, out, err = run_cli(capsys, "class", "--n", "4", "--k", "2", "--shape", text)
+    assert code == 1
+    assert out == ""
+    assert err == f"eqschub: error: bad partition {text!r}; expected digits joined by commas\n"
 
 
 def test_cli_accepts_gr48(capsys):

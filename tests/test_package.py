@@ -82,3 +82,11 @@ def test_gkmgrass_holds_no_monomial_layout_names():
 
     layout = {"_T", "_T_FIELDS", "_shift", "_exponents", "_shifted", "_chern_ratio"}
     assert not layout & set(vars(eqschub.gkmgrass))
+
+
+def test_schur_type_values_have_one_enumerator():
+    # Schubert and opposite restrictions sum flagged tableaux in dschur; the
+    # search over excited moves is only a test oracle.
+    import eqschub.gkmgrass
+
+    assert "_excited_sum" not in vars(eqschub.gkmgrass)

@@ -11,8 +11,11 @@ parent commit and one of the change.  `workload` runs `perfbench/run.py` in
 each, once per seed, and alternates which side runs first from one seed to
 the next.  Each side is recorded by its git revision and by a sha256 of its
 src/eqschub/*.py, so two checkouts of one commit with different sources can
-be told apart.  `build` times building every Schubert class of Gr(k, n) in a
-fresh interpreter on each side, alternating the same way.  `command` times
+be told apart.  `build` times building every Schubert class of Gr(k, n), and
+then every opposite class, in a fresh interpreter on each side, alternating
+the same way; outside the timed region each run prints a sha256 over the
+sorted-key JSON of every class it built, and every run on both sides must
+print the same one.  `command` times
 the wall clock of `python -m eqschub ARGV...` in a fresh interpreter on each
 side, alternating the same way, and requires every run on both sides to
 exit with the same status and print the same stdout.  Each metric gets each
@@ -55,13 +58,18 @@ import time
 from pathlib import Path
 
 BUILD_SCRIPT = """
-import sys, time
+import hashlib, json, sys, time
 sys.path.insert(0, "src")
-from eqschub import GrassmannianShape, schubert_class
+from eqschub import GrassmannianShape, opposite_schubert_class, schubert_class
 shape = GrassmannianShape({n}, {k})
-start = time.perf_counter()
-classes = [schubert_class(lam, shape) for lam in shape.partitions()]
-print(time.perf_counter() - start, len(classes))
+seconds, classes = [], []
+for build in (schubert_class, opposite_schubert_class):
+    start = time.perf_counter()
+    built = [build(lam, shape) for lam in shape.partitions()]
+    seconds.append(time.perf_counter() - start)
+    classes += built
+text = json.dumps([c.to_json_dict() for c in classes], sort_keys=True)
+print(*seconds, len(classes) // 2, hashlib.sha256(text.encode()).hexdigest())
 """
 
 
@@ -142,15 +150,20 @@ def run_build(args, envs: dict) -> dict:
     n, k = args.shape
     script = BUILD_SCRIPT.format(n=n, k=k)
 
-    def run(root: Path) -> tuple[float, int]:
+    def run(root: Path) -> tuple[float, float, int, str]:
         out = subprocess.run([sys.executable, "-c", script], cwd=root, env=envs[root],
                              capture_output=True, text=True, check=True)
-        seconds, count = out.stdout.split()
-        return float(seconds), int(count)
+        schubert, opposite, count, digest = out.stdout.split()
+        return float(schubert), float(opposite), int(count), digest
 
     pairs = [alternate(i, args.base, args.change, run) for i in range(args.repeats)]
-    return {"classes": pairs[0][1][1], "unit": "s",
-            **compare([b for (b, _), _ in pairs], [c for _, (c, _) in pairs], "lower")}
+    outputs = {result[2:] for side in pairs for result in side}
+    if len(outputs) != 1:
+        raise SystemExit(f"Gr({k},{n}): the builds differ in their classes")
+    count, digest = outputs.pop()
+    return {"classes": count, "unit": "s", "classes_sha256": digest,
+            **compare([b[0] for b, _ in pairs], [c[0] for _, c in pairs], "lower"),
+            "opposite": compare([b[1] for b, _ in pairs], [c[1] for _, c in pairs], "lower")}
 
 
 def run_command(args, envs: dict) -> dict:
@@ -185,7 +198,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     modes = parser.add_subparsers(dest="mode", required=True)
     workload = modes.add_parser("workload", help="paired perfbench/run.py runs")
-    build = modes.add_parser("build", help="paired builds of all Schubert classes")
+    build = modes.add_parser("build", help="paired builds of all Schubert and opposite classes")
     command = modes.add_parser("command", help="paired runs of python -m eqschub ARGV")
     for sub in (workload, build, command):
         sub.add_argument("base", type=Path)
