@@ -14,11 +14,11 @@ src/eqschub/*.py, so two checkouts of one commit with different sources can
 be told apart.  `build` times building every Schubert class of Gr(k, n), and
 then every opposite class, in a fresh interpreter on each side, alternating
 the same way; outside the timed region each run prints a sha256 over the
-sorted-key JSON of every class it built, and every run on both sides must
-print the same one.  `command` times
-the wall clock of `python -m eqschub ARGV...` in a fresh interpreter on each
-side, alternating the same way, and requires every run on both sides to
-exit with the same status and print the same stdout.  Each metric gets each
+sorted-key JSON of every class it built, one class after another, and every
+run on both sides must print the same one.  `command` times the wall clock
+of `python -m eqschub ARGV...` in a fresh interpreter on each side,
+alternating the same way, and requires every run on both sides to exit
+with the same status and print the same stdout.  Each metric gets each
 side's median and quartiles, all of its runs, and the number of pairs the
 change won (ties count for neither side); the direction of "better" comes
 from the change's BENCHMARK.json.  Results merge into the --out file, so one
@@ -68,8 +68,10 @@ for build in (schubert_class, opposite_schubert_class):
     built = [build(lam, shape) for lam in shape.partitions()]
     seconds.append(time.perf_counter() - start)
     classes += built
-text = json.dumps([c.to_json_dict() for c in classes], sort_keys=True)
-print(*seconds, len(classes) // 2, hashlib.sha256(text.encode()).hexdigest())
+digest = hashlib.sha256()
+for c in classes:
+    digest.update(json.dumps(c.to_json_dict(), sort_keys=True).encode())
+print(*seconds, len(classes) // 2, digest.hexdigest())
 """
 
 
