@@ -4,10 +4,10 @@ A class is stored as its tuple of restrictions, one polynomial in the t
 variables per pivot subset.  Schubert and opposite restrictions are sums
 over excited Young diagrams, taken as the flagged tableaux of `dschur`'s one
 tableau sum: products of positive weights t_j - t_i (i < j), one per box,
-with no terms that cancel.  Everything else (products, basis expansion, structure constants,
-positivity certificates, integration, the moment graph membership test,
-determinantal classes) works on those restriction tuples with exact
-arithmetic.
+with no terms that cancel.  Everything else (products, basis expansion,
+structure constants, positivity certificates, integration, the moment graph
+membership test, determinantal classes) works on those restriction tuples
+with exact arithmetic.
 """
 
 from __future__ import annotations

@@ -193,7 +193,7 @@ def test_flagged_tableaux_are_the_excited_diagrams(monkeypatch):
     # Every (lam, mu) with mu containing lam on every Gr(k, n) with n <= 9,
     # 23,694 pairs and 56,698 diagrams: each flagged tableau moves its box
     # (i, j), holding s, to (s, s + j - i), and those box sets are the
-    # excited-move search's diagrams, none twice; about 1.5 s.  The recording
+    # excited-move search's diagrams, none twice; about 1.2 s.  The recording
     # stand-in for _tableau_sum leaves the products out.
     found = []
     monkeypatch.setattr(dschur, "_tableau_sum", lambda tableaux, factor: found.append(tableaux))
