@@ -1,4 +1,5 @@
-"""Double Schur polynomials and their specializations, all as one tableau sum.
+"""Double Schur polynomials and their specializations, as tableau sums and
+as one bialternant.
 
 Each of five values is a sum over semistandard tableaux, from the one
 backtracking of `ytcomb`, of a product of one linear factor per box.  Over
@@ -7,10 +8,15 @@ x_s - u_a, the ordinary one x_s, and the restriction to a fixed point of
 Gr(k, n) the weight t_{n+1-a} - t_{i_s} directly, so no polynomial is
 substituted into.  Over flagged tableaux, which are the excited Young
 diagrams, the Schubert and opposite restrictions of `gkmgrass` take a
-weight t_j - t_i (i < j), so no terms cancel.
+weight t_j - t_i (i < j), so no terms cancel.  The third form is for a
+Schubert restriction at an integer point: a k x k determinant divided by a
+Vandermonde product (`_bialternant`), however many tableaux there are.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
+from math import prod
 
 from .exactalg import EqschubError, Polynomial, t, u, x
 from .ytcomb import (
@@ -100,3 +106,47 @@ def _flagged_sum(lam: Partition, mu: Partition, rows, cols) -> Polynomial:
             for i, width in enumerate(lam.parts, start=1) for j in range(1, width + 1)]
     return _tableau_sum(_flagged_tableaux(lam.parts, tops),
                         lambda s, a: t(cols[a - 1]) - t(rows[s - 1]))
+
+
+def _bialternant(parts: tuple[int, ...], pivots: tuple[int, ...], point) -> int:
+    """The restriction of the Schubert class of the partition `parts` to the
+    fixed point with pivot subset `pivots`, at t_i = point[i - 1]; the
+    coordinates of point must be distinct.
+
+    It is `restrict_schur`'s value, the factorial Schur function
+    s_lam(x|a) at x_s = -t_{i_s} and a_m = -t_{n+1-m}, in its bialternant
+    form det[(x_s|a)^(lam_c + k - c)] / prod_{s<r} (x_s - x_r), where
+    (x|a)^e = (x - a_1)...(x - a_e) (Macdonald, "Schur functions: theme and
+    variations", 1992, 6th variation).  Row s of the matrix reads the prefix
+    products of t_{n+1-m} - t_{i_s} over m, and fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968) takes the k x k determinant in O(k^3)
+    exact integer steps, each division exact.
+    """
+    k, n = len(pivots), len(point)
+    exponents = [part + k - c for c, part in enumerate(parts + (0,) * (k - len(parts)), start=1)]
+    matrix = []
+    for i in pivots:
+        here, power, powers = point[i - 1], 1, [1]
+        for m in range(n, n - exponents[0], -1):
+            power *= point[m - 1] - here
+            powers.append(power)
+        matrix.append([powers[e] for e in exponents])
+    sign, previous = 1, 1
+    for c in range(k - 1):
+        if not matrix[c][c]:
+            swap = next((r for r in range(c + 1, k) if matrix[r][c]), None)
+            if swap is None:
+                return 0
+            matrix[c], matrix[swap] = matrix[swap], matrix[c]
+            sign = -sign
+        pivot, row = matrix[c][c], matrix[c]
+        for other in matrix[c + 1:]:
+            lead = other[c]
+            for e in range(c + 1, k):
+                other[e] = (other[e] * pivot - lead * row[e]) // previous
+        previous = pivot
+    vandermonde = prod(point[r - 1] - point[s - 1] for s, r in combinations(pivots, 2))
+    value, rest = divmod(sign * matrix[-1][-1], vandermonde)
+    if rest:
+        raise AssertionError(f"bialternant not divisible by its Vandermonde: {rest} left")
+    return value

@@ -14,7 +14,9 @@ certificates is a chain of one-variable shifts on that layout, not a generic
 substitution.  So are the two steps of a truncated Chern series behind the
 tautological and Kempf-Laksov classes: multiplying by 1 +- t_a and dividing
 by 1 + t_a each add t_a's field to the monomials of one degree to form the
-next.  No other module reads or writes a monomial's fields.  All values are
+next.  A polynomial in t of bounded degree can also be rebuilt from its
+integer values on a lattice, by Newton's forward differences.  No other
+module reads or writes a monomial's fields.  All values are
 immutable and every operation is a pure function, so the whole module is
 safe for unrestricted concurrent use.
 """
@@ -25,7 +27,7 @@ import re
 import struct
 from collections import Counter
 from functools import reduce
-from math import comb, prod
+from math import comb, factorial, prod
 from operator import or_
 from typing import Iterable, Mapping, Union
 
@@ -632,6 +634,63 @@ def _top_degree_value(p: Polynomial, dim: int) -> int | None:
         if degree == dim:
             top += coeff * prod(map(pow, range(1, len(exps) + 1), exps))
     return top
+
+
+def _interpolate(value, n: int, d: int) -> Polynomial:
+    """The polynomial in t_1..t_n of total degree at most d that takes the
+    integer value(p) at each point p = b + alpha, alpha in N^n with
+    |alpha| <= d, where b_i = (i - 1)(d + 1); so each point has distinct,
+    increasing coordinates.  value must be such a polynomial in Z[t].
+
+    Newton's forward-difference formula in several variables (Chung-Yao,
+    SIAM J. Numer. Anal. 14, 1977; Gasca-Sauer, Adv. Comput. Math. 12, 2000)
+    writes the polynomial as the sum over the lattice of Delta^alpha f(b)
+    times the product of binomials C(t_i - b_i, alpha_i).  The differences
+    are taken one coordinate at a time along each lattice line, which never
+    leaves the lattice.  For f in Z[t], alpha! divides Delta^alpha f(b), and
+    the quotient is the coefficient of the falling factorials
+    prod (t_i - b_i)_(alpha_i), which Horner's rule turns into powers of t_i,
+    again one coordinate at a time.  All of it is exact integer arithmetic:
+    an inexact division raises AssertionError.
+    """
+    _shift(_T, n)  # MonomialOverflow for n > MAX_INDEX, before any work
+    if d > MAX_EXPONENT:
+        raise MonomialOverflow(f"exponent {d} exceeds {MAX_EXPONENT}")
+    alphas = [()]  # in lexicographic order, so each line runs up its coordinate
+    for _ in range(n):
+        alphas = [a + (e,) for a in alphas for e in range(d + 1 - sum(a))]
+    base = [i * (d + 1) for i in range(n)]
+    coeffs = {a: value([b + e for b, e in zip(base, a)]) for a in alphas}
+    lines = []
+    for i in range(n):
+        grouped: dict = {}
+        for a in alphas:
+            grouped.setdefault(a[:i] + a[i + 1:], []).append(a)
+        lines.append(grouped.values())
+    for i in range(n):
+        for line in lines[i]:
+            column = [coeffs[a] for a in line]
+            for level in range(1, len(column)):
+                for j in range(len(column) - 1, level - 1, -1):
+                    column[j] -= column[j - 1]
+            coeffs.update(zip(line, column))
+    for a in alphas:
+        quotient, rest = divmod(coeffs[a], prod(map(factorial, a)))
+        if rest:
+            raise AssertionError(f"difference at {a} not divisible by its factorial: {rest} left")
+        coeffs[a] = quotient
+    for i in range(n):
+        for line in lines[i]:
+            column = [coeffs[a] for a in line]
+            powers = column[-1:]
+            for j in range(len(column) - 2, -1, -1):
+                node = base[i] + j
+                powers = [up - node * same for up, same in zip([0] + powers, powers + [0])]
+                powers[0] += column[j]
+            coeffs.update(zip(line, powers))
+    shifts = [_shift(_T, i) for i in range(1, n + 1)]
+    return Polynomial._make({sum(e << s for e, s in zip(a, shifts)): c
+                             for a, c in coeffs.items() if c})
 
 
 def _positivity_witness(p: Polynomial) -> str | None:

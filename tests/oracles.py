@@ -47,9 +47,11 @@ from eqschub.exactalg import (
     MonomialOverflow,
     ParseError,
     Polynomial,
+    _NAMES,
     _ONE,
     _RANK,
     _decode,
+    _exponents,
     _shift,
     _variable,
     t,
@@ -380,9 +382,15 @@ def gkm_check_by_division(c) -> GkmCheckResult:
 
 
 def value_at(p, point) -> int:
-    """A polynomial in t_1..t_n at t_i = point[i - 1]."""
-    return sum(coeff * prod(point[slot] ** e for slot, e in _decode(mono))
-               for mono, coeff in p.items())
+    """A polynomial in t_1..t_n at t_i = point[i - 1]; any other variable
+    raises IndexError."""
+    total = 0
+    for mono, coeff in p.items():
+        exponents = _exponents(mono)  # the t_i exponent sits at slot i - 1
+        if len(exponents) > len(point):
+            raise IndexError(f"{_NAMES[len(exponents) - 1]} has no coordinate in the point")
+        total += coeff * prod(map(pow, point, exponents))
+    return total
 
 
 def integral_at_point(c, point) -> Fraction:

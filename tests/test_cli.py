@@ -2,18 +2,21 @@ import json
 import os
 import random
 import re
+import subprocess
+import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from eqschub.cli import main, parse_class_expr, parse_table
+from eqschub.cli import _class_program, main, parse_class_expr, parse_table
 from eqschub.exactalg import EqschubError, ParseError, t
-from eqschub.gkmgrass import EqClass, constant_class, projective_zeta, schubert_class
+from eqschub.gkmgrass import EqClass, constant_class, integrate, projective_zeta, schubert_class
 from eqschub.suites import run_suites
 from eqschub.ytcomb import GrassmannianShape
 
-from oracles import class_expr_by_descent
+from oracles import class_expr_by_descent, integral_at_point, value_at
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -275,19 +278,23 @@ def test_class_json_refusal_text(tmp_path, capsys, restrictions, error):
      "digit run too long in partition at '111111111111'"),
     (("class", "--n", "4", "--k", "2", "--shape", "1,x" + "1" * 5000),
      "bad partition '1,x111111111'; expected digits joined by commas"),
+    (("integrate", "--n", "4", "--k", "2", "--class", "s1^60000"),
+     "the integral may reach degree 59996 and 539946001649985000 terms; "
+     "at most 1000000 terms are accepted"),
 ], ids=["gr-20-40", "n-above-32", "too-many-points", "schur-restrict", "huge-exponent",
         "deep-nesting", "schur-long-row", "power-then-trailing", "power-then-zeta",
         "digit-run", "s-token-digit-run", "class-shape-digit-run", "lr-digit-run",
-        "schur-restrict-to-digit-run", "long-bad-partition"])
+        "schur-restrict-to-digit-run", "long-bad-partition", "huge-integral"])
 def test_cli_refuses_oversized_input_quickly(capsys, argv, error):
     """C(40, 20) is about 1.4e11 points, C(16, 8) = 12,870 is above 10,000,
     t33 does not exist, the power would loop 10^8 times, the parentheses
     nest deeper than the interpreter's recursion limit, the one row of 33
     boxes would sum 2^33 tableau products before it reached u33, two
     expressions would build s1^120 before their fault, the integer or the
-    partition part has more digits than int() reads, and the bad partition
-    is quoted in 12 characters: each is refused before any class or tableau
-    is built."""
+    partition part has more digits than int() reads, the bad partition is
+    quoted in 12 characters, and the integral of s1^60000 on Gr(2,4) has
+    degree up to 60000 - 4 in t1..t4: each is refused before any class or
+    tableau is built."""
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 10
@@ -378,6 +385,136 @@ def test_expression_reader_matches_descent_reader():
         compared += 1
         accepted += isinstance(expected[0], EqClass)
     assert accepted > 1000
+
+
+# --------------------------------------------------- integer-point integrals
+
+def _by_points(text, shape):
+    """The integral of the class expression by the integer-point route,
+    whichever route `integrate --class` would take."""
+    from eqschub.cli import _integral_by_points, _program_bound
+
+    program = _class_program(text, shape)
+    degree, mask = _program_bound(program, shape)
+    return _integral_by_points(program, shape, mask, max(0, degree - shape.dimension))
+
+
+_LEAVES = ("s1", "s2", "s1,1", "s2,1", "s3", "s0", "zeta", "0", "2", "3", "7")
+
+
+def _structured_expression(rng) -> str:
+    """Up to three terms of up to three factors from _LEAVES, some of them
+    sums in parentheses, with powers up to 12."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            factor = rng.choice(_LEAVES)
+            if rng.random() < 0.3:
+                factor = f"({factor} {rng.choice('+-')} {rng.choice(_LEAVES)})"
+            if rng.random() < 0.6:
+                factor += f"^{rng.randint(0, 12)}"
+            factors.append(factor)
+        terms.append("*".join(factors))
+    text = rng.choice(("", "-")) + terms[0]
+    return text + "".join(f" {rng.choice('+-')} {term}" for term in terms[1:])
+
+
+def test_point_route_matches_integrate():
+    """The integer-point route prints what integrate() of the built class
+    prints: on the 12 cli_mix integrals, on 1,000 valid texts drawn from the
+    alphabet of `test_expression_reader_matches_descent_reader` and on 1,000
+    valid expressions of up to three terms with powers up to 12, on Gr(1,3),
+    Gr(2,4), Gr(2,5) and Gr(3,6).  An expression is skipped when its
+    restrictions could have more than 500 terms or its integral could need
+    more than 40 lattice points, to keep both sides short; at least 80 of
+    those drawn have an integral of positive degree."""
+    from eqschub.cli import _integral_by_points, _program_bound
+
+    texts = [
+        (4, 2, "s1^4"), (4, 2, "s2*s1^2"), (4, 2, "s1,1*s2"), (4, 2, "2*s1*s1*s1^2 - s2,1*s1"),
+        (4, 2, "s2,1*s2,2"), (5, 2, "s1^6"), (5, 2, "s3*s1^3"),
+        (5, 2, "s2,1*s1,1*s1^1 + 3*s2*s2*s1^2"), (6, 3, "s2,1*s1*s1^6"),
+        (6, 3, "s2,2*s2,1*s1^2"), (5, 2, "(s1 + s2)^3 - s2,1*s1"), (4, 2, "-(s1 - 2)^2*s1,1 + 3"),
+    ]
+    cases = [(GrassmannianShape(n, k), text) for n, k, text in texts]
+    cases = [(shape, text, _by_points(text, shape)) for shape, text in cases]
+    shapes = [GrassmannianShape(n, k) for n, k in ((3, 1), (4, 2), (5, 2), (6, 3))]
+    rng = random.Random(2302)
+    drawn, positive = [0, 0], 0
+    while min(drawn) < 1000:
+        structured = drawn[0] >= 1000
+        if structured:
+            text = _structured_expression(rng)
+        else:
+            text = "".join(rng.choice(_EXPR_PIECES) for _ in range(rng.randint(1, 11)))
+            if any(int(e) > 12 for e in re.findall(r"\^\s*(\d+)", text)):
+                continue
+        shape = rng.choice(shapes)
+        try:
+            program = _class_program(text, shape)
+        except (EqschubError, ValueError):
+            continue
+        # The largest degree the built side reaches: zero literals and zero
+        # powers end no product early there.
+        built, _ = _program_bound([(op, arg or 1) if op in ("int", "^") else (op, arg)
+                                   for op, arg in program], shape)
+        if comb(shape.n - 1 + built, built) > 500:
+            continue
+        degree, mask = _program_bound(program, shape)
+        d = max(0, degree - shape.dimension)
+        if comb(shape.n + d, d) > 40:
+            continue
+        drawn[structured] += 1
+        positive += d > 0
+        cases.append((shape, text, _integral_by_points(program, shape, mask, d)))
+    for shape, text, value in cases:
+        assert str(value) == str(integrate(parse_class_expr(text, shape))), (shape, text)
+    assert positive >= 80
+
+
+def _evaluated(cls, point) -> EqClass:
+    """The class whose restriction at each fixed point is the constant value
+    of cls's restriction there at t = point."""
+    return EqClass(cls.shape, {J: value_at(v, point) for J, v in cls.items()})
+
+
+@pytest.mark.parametrize("n, k, text", [
+    (8, 4, "s1^17"), (8, 4, "s3,2,1*s2^6 - 2*(s1 + s2)^9"), (8, 4, "s4,4,3*s2^3"),
+    (10, 5, "s1^26"), (10, 5, "s2,1*s1^23"),
+])
+def test_point_route_matches_localization_sum_at_random_points(n, k, text):
+    """The integer-point integral on Gr(4,8) and Gr(5,10), evaluated at three
+    seeded random points with distinct coordinates, equals the localization
+    sum of `integral_at_point` there.  The sum reads the expression run on
+    the built Schubert classes, each first evaluated at the point, so no
+    restriction of the expression itself is expanded."""
+    from eqschub.cli import _run_program
+
+    shape = GrassmannianShape(n, k)
+    value = _by_points(text, shape)
+    assert value.degree() >= 1
+    rng = random.Random(2303)
+    for _ in range(3):
+        point = rng.sample(range(-30, 31), n)
+
+        def leaf(op, arg):
+            return _evaluated(schubert_class(arg, shape), point) if op == "s" else constant_class(shape, arg)
+
+        expected = integral_at_point(_run_program(_class_program(text, shape), leaf), point)
+        assert value_at(value, point) == expected, point
+
+
+def test_integrate_point_route_builds_no_class():
+    """integrate --class on a dense class above dim, in a fresh interpreter,
+    builds no Schubert class."""
+    src = Path(__file__).parent.parent / "src"
+    code = ("import eqschub.cli, eqschub.gkmgrass as g; "
+            "eqschub.cli.main(['integrate', '--n', '6', '--k', '3', '--class', 's2,1*s1*s1^6']); "
+            "print(len(g._SCHUBERT_CACHE))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["77*t6 + 77*t5 + 56*t4 - 56*t3 - 77*t2 - 77*t1", "0"]
 
 
 # -------------------------------------------------------------- determinism

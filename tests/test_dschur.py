@@ -1,10 +1,13 @@
+import random
+
 import pytest
 
-from eqschub.dschur import TooManyRows, double_schur, ordinary_schur, restrict_schur
+from eqschub.dschur import TooManyRows, _bialternant, double_schur, ordinary_schur, restrict_schur
 from eqschub.exactalg import MonomialOverflow, Polynomial, t, u, x
+from eqschub.gkmgrass import schubert_class
 from eqschub.ytcomb import DoesNotFitBox, GrassmannianShape
 
-from oracles import poly_to_sympy, restrict_by_substitution, schur_bialternant
+from oracles import poly_to_sympy, restrict_by_substitution, schur_bialternant, value_at
 
 
 def _eight_tableau_products() -> Polynomial:
@@ -156,3 +159,27 @@ def test_ordinary_schur_matches_bialternant():
             ours = poly_to_sympy(ordinary_schur(lam, k))
             oracle = schur_bialternant(lam, k)
             assert sympy.expand(ours - oracle) == 0, (lam, k)
+
+
+def test_bialternant_matches_schubert_restrictions_at_points():
+    """The bialternant value at a seeded random point with distinct
+    coordinates, one point per fixed point, against the built Schubert
+    restriction evaluated there: every (lam, J) of Gr(1,3), Gr(2,5), Gr(3,6)
+    and Gr(4,8), so k from 1 to 4, and 20 pairs each of 6 seeded partitions
+    of weight at most 6 on Gr(4,9) and Gr(5,10)."""
+    rng = random.Random(2301)
+    cases = []
+    for n, k in ((3, 1), (5, 2), (6, 3), (8, 4)):
+        shape = GrassmannianShape(n, k)
+        cases += [(shape, lam, shape.subsets()) for lam in shape.partitions()]
+    for n, k in ((9, 4), (10, 5)):
+        shape = GrassmannianShape(n, k)
+        small = [lam for lam in shape.partitions() if lam.weight <= 6]
+        cases += [(shape, lam, rng.sample(shape.subsets(), 20)) for lam in rng.sample(small, 6)]
+    points = {}
+    for shape, lam, subsets in cases:
+        cls = schubert_class(lam, shape)
+        for J in subsets:
+            point = points.setdefault((shape, J), rng.sample(range(-40, 41), shape.n))
+            expected = value_at(cls.restriction(J), point)
+            assert _bialternant(lam.parts, J.elements, point) == expected, (shape, lam, J)

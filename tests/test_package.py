@@ -35,10 +35,12 @@ def test_every_traced_binding_resolves():
 
 def test_package_import_loads_no_introspection_modules():
     # A bare `eqschub` call is bounded by its import, and these modules
-    # would be most of it.
+    # would be most of it; exact arithmetic stays in ints, so no number
+    # tower module is loaded either.
     src = Path(__file__).parent.parent / "src"
     code = ("import sys, eqschub, eqschub.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', "
+            "'fractions', 'decimal', 'numbers'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == "[]"
