@@ -1,16 +1,16 @@
-"""Double Schur polynomials and their specializations, as tableau sums and
-as one bialternant.
+"""Double Schur polynomials and their specializations, as tableau sums, a
+branching table and one bialternant.
 
 Each of five values is a sum over semistandard tableaux, from the one
 backtracking of `ytcomb`, of a product of one linear factor per box.  Over
 every tableau with entries <= k, the double Schur polynomial takes
 x_s - u_a, the ordinary one x_s, and the restriction to a fixed point of
-Gr(k, n) the weight t_{n+1-a} - t_{i_s} directly, so no polynomial is
-substituted into.  Over flagged tableaux, which are the excited Young
-diagrams, the Schubert and opposite restrictions of `gkmgrass` take a
-weight t_j - t_i (i < j), so no terms cancel.  The third form is for a
-Schubert restriction at an integer point: a k x k determinant divided by a
-Vandermonde product (`_bialternant`), however many tableaux there are.
+Gr(k, n) t_{n+1-a} - t_{i_s}, with no substitution; `_restricted_tables`
+builds all of a point's restrictions at once by the branching rule.  Over
+flagged tableaux (excited Young diagrams) the Schubert and opposite
+restrictions of `gkmgrass` take a weight t_j - t_i (i < j), so no terms
+cancel.  The third form, a Schubert restriction at an integer point, is a
+k x k determinant over a Vandermonde product (`_bialternant`).
 """
 
 from __future__ import annotations
@@ -82,6 +82,49 @@ def restrict_schur(lam, mu, shape: GrassmannianShape) -> Polynomial:
     lam = _check_partition(lam, shape)
     pivots = partition_to_subset(mu, shape).elements
     return _schur_sum(lam, shape.k, lambda s, a: t(shape.n + 1 - a) - t(pivots[s - 1]))
+
+
+def _restricted_tables(shape: GrassmannianShape):
+    """Yield (pivots, table) for each fixed point, pivots in lexicographic
+    order; table maps the parts of each partition lam in the box, leaving
+    out zeros, to restrict_schur(lam, mu) at the point mu.
+
+    The entries s of a tableau form a horizontal strip, so V_s(nu), the sum
+    over tableaux of shape nu with entries <= s, is the sum over kappa with
+    nu_{i+1} <= kappa_i <= nu_i, kappa_s = 0, of V_{s-1}(kappa) times
+    t_{n+1-(s+j-i)} - t_{i_s} per box (i, j) of nu/kappa (Molev-Sagan 1999).
+    V_s depends on i_1..i_s alone, so a depth-first walk over pivot
+    prefixes builds each level once and holds one path."""
+    n, k, width = shape.n, shape.k, shape.box_width
+
+    def level(below: dict, s: int, pivot: int) -> dict:
+        weights = [t(n + 1 - s - d) - t(pivot) for d in range(1 - s, width)]
+        out = {}
+
+        def grow(kappa, value, nu, factor):
+            i = len(nu) + 1
+            if i > s:
+                parts = nu[:nu.index(0)] if 0 in nu else nu
+                out[parts] = out.get(parts, Polynomial.zero()) + value * factor
+                return
+            for part in range(kappa[i - 1], (kappa[i - 2] if i > 1 else width) + 1):
+                if part > kappa[i - 1]:
+                    factor = factor * weights[part - i + s - 1]
+                grow(kappa, value, nu + (part,), factor)
+
+        for kappa, value in below.items():
+            if value:
+                grow(kappa + (0,) * (s - len(kappa)), value, (), Polynomial.one())
+        return out
+
+    def walk(below: dict, pivots: tuple):
+        if len(pivots) == k:
+            yield pivots, below
+            return
+        for pivot in range(pivots[-1] + 1 if pivots else 1, width + len(pivots) + 2):
+            yield from walk(level(below, len(pivots) + 1, pivot), pivots + (pivot,))
+
+    yield from walk({(): Polynomial.one()}, ())
 
 
 def ordinary_schur(lam, k: int) -> Polynomial:

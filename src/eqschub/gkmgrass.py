@@ -12,7 +12,6 @@ with exact arithmetic.
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import comb, lcm, prod
 from typing import Mapping
 
@@ -582,25 +581,49 @@ def chern_class_taut(bundle: str, i: int, shape: GrassmannianShape) -> EqClass:
     return _marked(EqClass(shape, restrictions))
 
 
-def _det(matrix: list[list[Polynomial]]) -> Polynomial:
-    """Laplace expansion along each row from the bottom up.  The minor of
-    rows row..size-1 on an ascending column tuple is the alternating sum
-    over its positions p of entry (row, cols[p]) times the minor of the rows
-    below on cols without cols[p]; each minor is formed once."""
-    size = len(matrix)
-    minors = {(): Polynomial.one()}
-    for row in range(size - 1, -1, -1):
-        entries = matrix[row]
-        above = {}
-        for cols in combinations(range(size), size - row):
-            total = Polynomial.zero()
-            for p, c in enumerate(cols):
-                if entries[c]:
-                    term = entries[c] * minors[cols[:p] + cols[p + 1:]]
-                    total = total - term if p % 2 else total + term
-            above[cols] = total
-        minors = above
-    return minors[tuple(range(size))]
+def _minors(matrix, selections):
+    """For each selection, a tuple of c row labels of a matrix with c
+    columns, the determinant of those rows in order.  Each is expanded along
+    its last column, so sub-minors lie on the first, low-degree columns;
+    each is formed once and kept, the maximal minors are not."""
+    kept = {}
+
+    def minor(rows: tuple) -> Polynomial:
+        last, value = len(rows) - 1, Polynomial.zero() if rows else Polynomial.one()
+        for q, row in enumerate(rows):
+            entry = matrix[row][last]
+            if entry:
+                rest = rows[:q] + rows[q + 1:]
+                sub = kept.get(rest)
+                if sub is None:
+                    sub = kept[rest] = minor(rest)
+                if sub:
+                    value = value - entry * sub if (last - q) % 2 else value + entry * sub
+        return value
+
+    return map(minor, selections)
+
+
+def _kl_rows(lam: Partition, k: int) -> tuple[int, ...]:
+    """The rows p = lam_i - i, i = 1..k, that lam selects from `_kl_matrix`."""
+    return tuple(part - i for i, part in enumerate(lam.padded(k), start=1))
+
+
+def _kl_matrix(J: PivotSubset, shape: GrassmannianShape, rows) -> dict:
+    """Row p, for each p of the descending rows, of the Kempf-Laksov matrix
+    at J: degrees p+1..p+k of c(Q - C^m), m = (n-k) - p.  Q has weights t_a,
+    a not in J, so c(Q - C^m) = c(Q - C^(m-1)) / (1 + t_m) whether or not m
+    is a pivot: one series c(Q) up to the largest degree read is divided by
+    1 + t_m for each new m as p falls."""
+    k, width = shape.k, shape.n - shape.k
+    series = _chern_series(J.missing(shape.n), rows[0] + k)
+    m, matrix = 0, {}
+    for p in rows:
+        while m < width - p:
+            m += 1
+            series = _divide_series(series, m)
+        matrix[p] = [series[d] if d >= 0 else Polynomial.zero() for d in range(p + 1, p + k + 1)]
+    return matrix
 
 
 def kempf_laksov_class(lam, shape: GrassmannianShape) -> EqClass:
@@ -609,30 +632,12 @@ def kempf_laksov_class(lam, shape: GrassmannianShape) -> EqClass:
     At each fixed point J the entry in row i, column j is the coefficient of
     degree lambda_i + j - i in the Chern series c(Q - C^m) of Q minus the
     trivial bundle spanned by the first m = (n-k) - lambda_i + i coordinate
-    lines; the class is the k x k determinant of those entries.  Q has
-    weights t_a for a not in J, so c(Q - C^m) = c(Q) / prod_{a <= m} (1 + t_a)
-    = c(Q - C^(m-1)) / (1 + t_m), whether or not m is a pivot.  Each point
-    builds one series c(Q) = prod_{a not in J} (1 + t_a) (`_chern_series`),
-    and m grows with the row, so the rows are read in order, each after the
-    series is divided by 1 + t_a for every new a <= m (`_divide_series`).
-    The series is truncated at degree lambda_1 + k - 1, the largest index
-    the determinant reads.  The determinant is a Laplace expansion over
-    shared minors (`_det`): k * 2^(k-1) entry products, not k * k!.
+    lines; the class is the k x k determinant of those entries.  Row i is
+    row p = lambda_i - i of one n x k matrix per point (`_kl_matrix`), so
+    every partition's determinant is a maximal minor of it (`_minors`), here
+    lambda's alone: k * 2^(k-1) entry products, not k * k!.
     """
     lam = _check_partition(lam, shape)
-    k = shape.k
-    r = shape.n - shape.k
-    padded = lam.padded(k)
-    restrictions = {}
-    for J in shape.subsets():
-        series = _chern_series(J.missing(shape.n), padded[0] + k - 1)
-        m = 0
-        matrix = []
-        for i, part in enumerate(padded, start=1):
-            while m < r - part + i:
-                m += 1
-                series = _divide_series(series, m)
-            matrix.append([series[p] if p >= 0 else Polynomial.zero()
-                           for p in range(part + 1 - i, part + k + 1 - i)])
-        restrictions[J] = _det(matrix)
-    return EqClass(shape, restrictions)
+    rows = _kl_rows(lam, shape.k)
+    return EqClass(shape, {J: next(_minors(_kl_matrix(J, shape, rows), (rows,)))
+                           for J in shape.subsets()})

@@ -15,40 +15,42 @@ from .gkmgrass import (
     euler_class,
     gkm_check,
     integrate,
-    kempf_laksov_class,
     opposite_schubert_class,
     positivity_certificate,
     projective_zeta,
     schubert_class,
     structure_constants,
     tangent_euler,
+    _kl_matrix,
+    _kl_rows,
+    _minors,
 )
-from .ytcomb import GrassmannianShape, partition_to_subset
-from .dschur import restrict_schur
+from .ytcomb import GrassmannianShape, subset_to_partition
+from .dschur import _flagged_sum, _restricted_tables
 
 SUITE_NAMES = ("interpolation", "gkm", "positivity", "duality", "kl", "integrals")
 
 
 def suite_interpolation() -> dict:
-    """Diagonal product formula and vanishing of restricted double Schurs."""
+    """Diagonal product formula and vanishing of restricted double Schurs,
+    checked one point's table at a time and reported in partition order."""
     failures = []
     cases = 0
     for n in range(2, 7):
         for k in range(1, n):
             shape = GrassmannianShape(n, k)
-            for lam in shape.partitions():
-                cases += 1
-                diagonal = restrict_schur(lam, lam, shape)
-                expected = euler_class(partition_to_subset(lam, shape), shape)
-                if diagonal != expected:
-                    failures.append(f"Gr({k},{n}) lam={lam}: diagonal {diagonal} != {expected}")
-                for mu in shape.partitions():
-                    if not mu.contains(lam):
-                        value = restrict_schur(lam, mu, shape)
-                        if value:
-                            failures.append(
-                                f"Gr({k},{n}) lam={lam} mu={mu}: expected 0, got {value}"
-                            )
+            lams = shape.partitions()
+            cases += len(lams)
+            found = []
+            for pivots, table in _restricted_tables(shape):
+                mu = subset_to_partition(pivots, shape)
+                at, expected = lams.index(mu), euler_class(pivots, shape)
+                if (diagonal := table.get(mu.parts, Polynomial.zero())) != expected:
+                    found.append(((at, -1), f"Gr({k},{n}) lam={mu}: diagonal {diagonal} != {expected}"))
+                found += [((a, at), f"Gr({k},{n}) lam={lam} mu={mu}: expected 0, got {value}")
+                          for a, lam in enumerate(lams)
+                          if (value := table.get(lam.parts)) and not mu.contains(lam)]
+            failures += [text for _, text in sorted(found)]
     return {"name": "interpolation", "cases": cases, "failures": failures}
 
 
@@ -116,9 +118,19 @@ def suite_duality() -> dict:
 
 
 def kl_mismatches(shape: GrassmannianShape) -> list:
-    """The partitions whose determinantal and Schubert classes differ."""
-    return [lam for lam in shape.partitions()
-            if kempf_laksov_class(lam, shape) != schubert_class(lam, shape)]
+    """The partitions whose determinantal and Schubert classes differ, one
+    point at a time: each partition's maximal minor of the point's matrix
+    against the flagged sum there, both dropped before the next point."""
+    lams = shape.partitions()
+    selections = [_kl_rows(lam, shape.k) for lam in lams]
+    every = tuple(range(shape.n - shape.k - 1, -shape.k - 1, -1))
+    bad = set()
+    for J in shape.subsets():
+        minors = _minors(_kl_matrix(J, shape, every), selections)
+        mu, cols = subset_to_partition(J, shape), J.missing(shape.n)[::-1]
+        bad.update(lam for lam, minor in zip(lams, minors)
+                   if lam not in bad and minor != _flagged_sum(lam, mu, J.elements, cols))
+    return [lam for lam in lams if lam in bad]
 
 
 def suite_kl() -> dict:

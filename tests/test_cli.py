@@ -2,6 +2,7 @@ import json
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -294,9 +295,21 @@ def test_cli_refuses_oversized_input_quickly(capsys, argv, error):
     partition part has more digits than int() reads, the bad partition is
     quoted in 12 characters, and the integral of s1^60000 on Gr(2,4) has
     degree up to 60000 - 4 in t1..t4: each is refused before any class or
-    tableau is built."""
+    tableau is built.  The 10 s limit is enforced during the call by an
+    interval timer, so a refusal that hangs fails instead of stalling the
+    run; pytest.fail raises past main's handlers of domain errors."""
+
+    def hung(signum, frame):
+        pytest.fail(f"{argv} still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 10)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, *argv)
+    try:
+        code, out, err = run_cli(capsys, *argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert time.perf_counter() - start < 10
     assert code == 1
     assert out == ""

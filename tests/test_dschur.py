@@ -2,10 +2,18 @@ import random
 
 import pytest
 
-from eqschub.dschur import TooManyRows, _bialternant, double_schur, ordinary_schur, restrict_schur
+from eqschub import suites
+from eqschub.dschur import (
+    TooManyRows,
+    _bialternant,
+    _restricted_tables,
+    double_schur,
+    ordinary_schur,
+    restrict_schur,
+)
 from eqschub.exactalg import MonomialOverflow, Polynomial, t, u, x
 from eqschub.gkmgrass import schubert_class
-from eqschub.ytcomb import DoesNotFitBox, GrassmannianShape
+from eqschub.ytcomb import DoesNotFitBox, GrassmannianShape, subset_to_partition
 
 from oracles import poly_to_sympy, restrict_by_substitution, schur_bialternant, value_at
 
@@ -119,6 +127,65 @@ def test_restrict_schur_matches_substitution_oracle():
                     assert restrict_schur(lam, mu, shape) == oracle, (n, k, lam, mu)
                     pairs += 1
     assert pairs == 1262
+
+
+def test_restricted_tables_match_restrict_schur():
+    """Each point's table against the tableau sum on every (lam, mu) with
+    n <= 6, and on 150 seeded pairs of Gr(3,7); a partition a table leaves
+    out must have the value 0, and the points come in the order of
+    `subsets()`."""
+    pairs = 0
+    for n in range(2, 7):
+        for k in range(1, n):
+            shape = GrassmannianShape(n, k)
+            points = list(_restricted_tables(shape))
+            assert [pivots for pivots, _ in points] == [J.elements for J in shape.subsets()]
+            for pivots, table in points:
+                mu = subset_to_partition(pivots, shape)
+                assert set(table) <= {lam.parts for lam in shape.partitions()}
+                for lam in shape.partitions():
+                    assert table.get(lam.parts, 0) == restrict_schur(lam, mu, shape), (n, k, lam, mu)
+                    pairs += 1
+    assert pairs == 1262
+    shape = GrassmannianShape(7, 3)
+    tables = dict(_restricted_tables(shape))
+    rng = random.Random(2503)
+    for _ in range(150):
+        lam = rng.choice(shape.partitions())
+        pivots = rng.choice(shape.subsets()).elements
+        value = restrict_schur(lam, subset_to_partition(pivots, shape), shape)
+        assert tables[pivots].get(lam.parts, 0) == value, (lam, pivots)
+
+
+def test_interpolation_suite_reports_wrong_table_values(monkeypatch):
+    """A wrong value at one point is reported with the text, and in the
+    order, of the pair-by-pair sweep: shape by shape, partition by
+    partition, the diagonal first, then the points in partition order."""
+    wrong = {((2, 1), (), (1,)): t(1), ((4, 2), (2,), (2, 1)): t(1),
+             ((4, 2), (1, 1), (2, 1)): t(2), ((4, 2), (2, 1), (2, 1)): Polynomial.one(),
+             ((4, 2), (1,), (1,)): -t(4)}
+    real = suites._restricted_tables
+
+    def tables(shape):
+        for pivots, table in real(shape):
+            mu = subset_to_partition(pivots, shape).parts
+            table = dict(table)
+            for (nk, at, lam), delta in wrong.items():
+                if nk == (shape.n, shape.k) and at == mu:
+                    table[lam] = table.get(lam, Polynomial.zero()) + delta
+            yield pivots, table
+
+    monkeypatch.setattr(suites, "_restricted_tables", tables)
+    report = suites.suite_interpolation()
+    diagonal = "t2*t4^2 - t1*t4^2 - t2*t3*t4 + t1*t3*t4 - t1*t2*t4 + t1^2*t4 + t1*t2*t3 - t1^2*t3"
+    assert report["cases"] == 114
+    assert report["failures"] == [
+        "Gr(1,2) lam=1 mu=0: expected 0, got t1",
+        "Gr(2,4) lam=1: diagonal -t4 + t3 - t2 != t3 - t2",
+        f"Gr(2,4) lam=2,1: diagonal {diagonal} + 1 != {diagonal}",
+        "Gr(2,4) lam=2,1 mu=1,1: expected 0, got t2",
+        "Gr(2,4) lam=2,1 mu=2: expected 0, got t1",
+    ]
 
 
 def test_restrict_schur_diagonal_small():

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import combinations, permutations
 from math import prod
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from eqschub import dschur
 from eqschub.cli import parse_class_expr
+from eqschub.suites import kl_mismatches
 from eqschub.exactalg import (
     MonomialOverflow,
     ParseError,
@@ -23,7 +25,7 @@ from eqschub.gkmgrass import (
     NotEquivariantClass,
     NotInSpan,
     ShapeMismatch,
-    _det,
+    _minors,
     chern_class_taut,
     constant_class,
     euler_class,
@@ -1076,7 +1078,39 @@ def _square_matrices(draw):
 @given(_square_matrices())
 @settings(max_examples=150, deadline=None)
 def test_det_matches_permutation_sum(matrix):
-    assert _det(matrix) == det_by_permutations(matrix)
+    rows = tuple(range(len(matrix)))
+    assert list(_minors(matrix, [rows])) == [det_by_permutations(matrix)]
+
+
+def test_maximal_minors_match_permutation_sum():
+    """Every maximal minor, rows in every order, of seeded 5 x 2, 6 x 3
+    and 7 x 3 matrices of small t-polynomials, about a third of the
+    entries zero, against the permutation sum of the selected rows."""
+    rng = random.Random(2501)
+
+    def entry():
+        if not rng.randrange(3):
+            return Polynomial.zero()
+        total = Polynomial.integer(rng.randint(-3, 3))
+        for _ in range(rng.randint(0, 2)):
+            total = total + rng.randint(-3, 3) * t(rng.randint(1, 4)) ** rng.randint(1, 2)
+        return total
+
+    for size, width in ((5, 2), (6, 3), (7, 3)):
+        matrix = {10 - p: [entry() for _ in range(width)] for p in range(size)}
+        selections = [rows for chosen in combinations(matrix, width)
+                      for rows in permutations(chosen)]
+        minors = list(_minors(matrix, selections))
+        assert len(minors) == len(selections)
+        for rows, minor in zip(selections, minors):
+            assert minor == det_by_permutations([matrix[p] for p in rows]), rows
+
+
+@pytest.mark.parametrize("n, k", [(6, 2), (7, 3)])
+def test_kl_mismatches_empty(n, k):
+    """The per-point sweep of `kl-verify`: each maximal minor of the point's
+    matrix against the Schubert restriction there."""
+    assert kl_mismatches(GrassmannianShape(n, k)) == []
 
 
 def test_kempf_laksov_box_check():

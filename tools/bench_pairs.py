@@ -5,6 +5,8 @@
     python3 tools/bench_pairs.py build BASE CHANGE --shape 8,4 --repeats 1 --out BENCH_6.json
     python3 tools/bench_pairs.py command BASE CHANGE --repeats 10 --out BENCH_12.json \
         -- lr --n 4 --k 2 --a 1 --b 1
+    python3 tools/bench_pairs.py setup BASE CHANGE --workload warm_calculus \
+        --repeats 10 --out BENCH_25.json
 
 BASE and CHANGE are the roots of two checkouts, for example a clone of the
 parent commit and one of the change.  `workload` runs `perfbench/run.py` in
@@ -18,11 +20,14 @@ sorted-key JSON of every class it built, one class after another, and every
 run on both sides must print the same one.  `command` times the wall clock
 of `python -m eqschub ARGV...` in a fresh interpreter on each side,
 alternating the same way, and requires every run on both sides to exit
-with the same status and print the same stdout.  Each metric gets each
-side's median and quartiles, all of its runs, and the number of pairs the
-change won (ties count for neither side); the direction of "better" comes
-from the change's BENCHMARK.json.  Results merge into the --out file, so one
-file collects several workloads, builds and commands.
+with the same status and print the same stdout.  `setup` times the
+set-up of one workload alone, `perfbench/run.py --workload W --seed S
+--probe-setup`, in a fresh interpreter on each side, alternating the same
+way.  Each metric gets each side's median and quartiles, all of its runs,
+and the number of pairs the change won (ties count for neither side); the
+direction of "better" comes from the change's BENCHMARK.json.  Results
+merge into the --out file, so one file collects several workloads, builds,
+commands and set-ups.
 
 Every interpreter of a side runs with that side's own PYTHONPYCACHEPREFIX,
 a fresh directory made before the first run (and filled by compiling the
@@ -33,7 +38,11 @@ It also means the `setup_s` recorded here leaves out compiling the package,
 since each side is compiled before its first run.  An interpreter with no
 bytecode to read (PYTHONDONTWRITEBYTECODE=1 in a checkout without
 `__pycache__`) compiles the package on every start, so a `setup_s` taken
-that way is not comparable with the one in a BENCH_*.json file.
+that way is not comparable with the one in a BENCH_*.json file, except
+with the `setup` mode's.  That mode runs every interpreter the other way:
+PYTHONDONTWRITEBYTECODE=1 and a PYTHONPYCACHEPREFIX that stays empty, so
+each start compiles the package anew, as a run from a fresh checkout with
+no bytecode does.
 
 A check of the tests against another checkout, such as the parent commit
 or a copy with a deliberate fault, must run pytest from inside that
@@ -186,11 +195,28 @@ def run_command(args, envs: dict) -> dict:
             **compare([b[0] for b, _ in pairs], [c[0] for _, c in pairs], "lower")}
 
 
-def side_env(root: Path, cache: str) -> dict:
+def run_setup(args, envs: dict) -> dict:
+    def run(root: Path) -> float:
+        argv = [sys.executable, "perfbench/run.py", "--workload", args.workload,
+                "--seed", str(args.seed), "--probe-setup"]
+        out = subprocess.run(argv, cwd=root, env=envs[root], capture_output=True, text=True,
+                             check=True)
+        return json.loads(out.stdout.strip().splitlines()[-1])["setup_s"]
+
+    pairs = [alternate(i, args.base, args.change, run) for i in range(args.repeats)]
+    return {"unit": "s", "seed": args.seed,
+            **compare([b for b, _ in pairs], [c for _, c in pairs], "lower")}
+
+
+def side_env(root: Path, cache: str, compiled: bool = True) -> dict:
     """The environment of root's interpreters: bytecode in its own cache
-    directory, filled here by compiling root's sources."""
+    directory, filled here by compiling root's sources; or, not compiled,
+    no bytecode written or read at all."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     env["PYTHONPYCACHEPREFIX"] = cache
+    if not compiled:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+        return env
     subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
                    cwd=root, env=env, check=True, stdout=subprocess.DEVNULL)
     return env
@@ -202,17 +228,20 @@ def main(argv=None) -> int:
     workload = modes.add_parser("workload", help="paired perfbench/run.py runs")
     build = modes.add_parser("build", help="paired builds of all Schubert and opposite classes")
     command = modes.add_parser("command", help="paired runs of python -m eqschub ARGV")
-    for sub in (workload, build, command):
+    setup = modes.add_parser("setup", help="paired workload set-ups, compiled at every start")
+    for sub in (workload, build, command, setup):
         sub.add_argument("base", type=Path)
         sub.add_argument("change", type=Path)
         sub.add_argument("--out", type=Path, required=True)
-    workload.add_argument("--workload", required=True)
+    for sub in (workload, setup):
+        sub.add_argument("--workload", required=True)
+    setup.add_argument("--seed", type=int, default=1)
     workload.add_argument("--seeds", type=parse_seeds, required=True)
     workload.add_argument("--seconds", type=float, default=15.0)
     build.add_argument("--shape", required=True, help="n,k of the Grassmannian",
                        type=lambda s: tuple(int(v) for v in s.split(",")))
     command.add_argument("argv", nargs="+", help="eqschub arguments, after --")
-    for sub in (build, command):
+    for sub in (build, command, setup):
         sub.add_argument("--repeats", type=int, default=1)
     args = parser.parse_args(argv)
     args.base, args.change = args.base.resolve(), args.change.resolve()
@@ -224,11 +253,18 @@ def main(argv=None) -> int:
              "sources": {"base": source_digest(args.base), "change": source_digest(args.change)},
              "bytecode": "fresh PYTHONPYCACHEPREFIX per side, compiled before the first run; "
                          "PYTHONDONTWRITEBYTECODE unset"}
+    compiled = args.mode != "setup"
+    if not compiled:
+        sides["bytecode"] = ("none: PYTHONDONTWRITEBYTECODE=1 and an empty PYTHONPYCACHEPREFIX "
+                             "per side, so every start compiles the package")
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as base_cache, \
             tempfile.TemporaryDirectory(prefix="bench-pycache-") as change_cache:
-        envs = {args.base: side_env(args.base, base_cache),
-                args.change: side_env(args.change, change_cache)}
-        if args.mode == "workload":
+        envs = {args.base: side_env(args.base, base_cache, compiled),
+                args.change: side_env(args.change, change_cache, compiled)}
+        if args.mode == "setup":
+            entry = run_setup(args, envs)
+            report.setdefault("setups", {})[args.workload] = {**sides, **entry}
+        elif args.mode == "workload":
             bench = json.loads((args.change / "BENCHMARK.json").read_text())
             directions = {m["name"]: m["better"] for m in bench["end_to_end"]}
             entry = run_workload(args, directions, envs)
