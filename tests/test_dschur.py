@@ -161,6 +161,7 @@ def test_interpolation_suite_reports_wrong_table_values(monkeypatch):
     """A wrong value at one point is reported with the text, and in the
     order, of the pair-by-pair sweep: shape by shape, partition by
     partition, the diagonal first, then the points in partition order."""
+    # ((n, k), mu, lam): the amount added to the value of lam at mu
     wrong = {((2, 1), (), (1,)): t(1), ((4, 2), (2,), (2, 1)): t(1),
              ((4, 2), (1, 1), (2, 1)): t(2), ((4, 2), (2, 1), (2, 1)): Polynomial.one(),
              ((4, 2), (1,), (1,)): -t(4)}
