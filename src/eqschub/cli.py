@@ -47,12 +47,13 @@ from .gkmgrass import (
     gkm_check,
     gkm_graph,
     integrate,
+    kl_mismatches,
     positivity_certificate,
     projective_zeta,
     schubert_class,
     structure_constants,
 )
-from .suites import SUITE_NAMES, kl_mismatches, run_suites
+from .suites import SUITE_NAMES, run_suites
 from .ytcomb import GrassmannianShape, Partition, _check_partition, partition_to_subset
 
 DOMAIN_ERROR = 1

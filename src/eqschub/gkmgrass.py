@@ -256,6 +256,11 @@ def tangent_euler(I, shape: GrassmannianShape) -> Polynomial:
     return prod(tangent_weights(I, shape), start=Polynomial.one())
 
 
+def _schubert_restriction(lam: Partition, J: PivotSubset, shape: GrassmannianShape) -> Polynomial:
+    """The value of `schubert_class(lam)` at J."""
+    return _flagged_sum(lam, subset_to_partition(J, shape), J.elements, J.missing(shape.n)[::-1])
+
+
 def schubert_class(lam, shape: GrassmannianShape) -> EqClass:
     """The class whose value at the point of mu is the sum over the excited
     Young diagrams of lam inside mu (Ikeda-Naruse, Kreiman), as flagged tableaux.
@@ -271,11 +276,8 @@ def schubert_class(lam, shape: GrassmannianShape) -> EqClass:
     hit = _SCHUBERT_CACHE.get(key)
     if hit is not None:
         return hit
-    restrictions = {
-        J: _flagged_sum(lam, subset_to_partition(J, shape), J.elements, J.missing(shape.n)[::-1])
-        for J in shape.subsets()
-    }
-    result = _marked(EqClass(shape, restrictions))
+    result = _marked(EqClass(shape, {J: _schubert_restriction(lam, J, shape)
+                                     for J in shape.subsets()}))
     _SCHUBERT_CACHE[key] = result
     return result
 
@@ -641,3 +643,18 @@ def kempf_laksov_class(lam, shape: GrassmannianShape) -> EqClass:
     rows = _kl_rows(lam, shape.k)
     return EqClass(shape, {J: next(_minors(_kl_matrix(J, shape, rows), (rows,)))
                            for J in shape.subsets()})
+
+
+def kl_mismatches(shape: GrassmannianShape) -> list:
+    """The partitions whose determinantal and Schubert classes differ, one
+    point at a time: each maximal minor of the point's matrix (rows p in
+    [-k, n-k-1]) against the Schubert restriction, dropped before the next."""
+    lams = shape.partitions()
+    selections = [_kl_rows(lam, shape.k) for lam in lams]
+    every = tuple(range(shape.n - shape.k - 1, -shape.k - 1, -1))
+    bad = set()
+    for J in shape.subsets():
+        minors = _minors(_kl_matrix(J, shape, every), selections)
+        bad.update(lam for lam, minor in zip(lams, minors)
+                   if lam not in bad and minor != _schubert_restriction(lam, J, shape))
+    return [lam for lam in lams if lam in bad]

@@ -15,18 +15,16 @@ from .gkmgrass import (
     euler_class,
     gkm_check,
     integrate,
+    kl_mismatches,
     opposite_schubert_class,
     positivity_certificate,
     projective_zeta,
     schubert_class,
     structure_constants,
     tangent_euler,
-    _kl_matrix,
-    _kl_rows,
-    _minors,
 )
 from .ytcomb import GrassmannianShape, subset_to_partition
-from .dschur import _flagged_sum, _restricted_tables
+from .dschur import _restricted_tables
 
 SUITE_NAMES = ("interpolation", "gkm", "positivity", "duality", "kl", "integrals")
 
@@ -115,22 +113,6 @@ def suite_duality() -> dict:
                 if value != expected:
                     failures.append(f"Gr({k},{n}) <{lam},{mu}>: got {value}, want {expected}")
     return {"name": "duality", "cases": cases, "failures": failures}
-
-
-def kl_mismatches(shape: GrassmannianShape) -> list:
-    """The partitions whose determinantal and Schubert classes differ, one
-    point at a time: each partition's maximal minor of the point's matrix
-    against the flagged sum there, both dropped before the next point."""
-    lams = shape.partitions()
-    selections = [_kl_rows(lam, shape.k) for lam in lams]
-    every = tuple(range(shape.n - shape.k - 1, -shape.k - 1, -1))
-    bad = set()
-    for J in shape.subsets():
-        minors = _minors(_kl_matrix(J, shape, every), selections)
-        mu, cols = subset_to_partition(J, shape), J.missing(shape.n)[::-1]
-        bad.update(lam for lam, minor in zip(lams, minors)
-                   if lam not in bad and minor != _flagged_sum(lam, mu, J.elements, cols))
-    return [lam for lam in lams if lam in bad]
 
 
 def suite_kl() -> dict:

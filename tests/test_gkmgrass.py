@@ -1,14 +1,13 @@
 import random
 import time
-from itertools import combinations, permutations
+from itertools import combinations
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from eqschub import dschur
 from eqschub.cli import parse_class_expr
-from eqschub.suites import kl_mismatches
 from eqschub.exactalg import (
     MonomialOverflow,
     ParseError,
@@ -34,6 +33,7 @@ from eqschub.gkmgrass import (
     gkm_graph,
     integrate,
     kempf_laksov_class,
+    kl_mismatches,
     opposite_schubert_class,
     positivity_certificate,
     projective_zeta,
@@ -1059,10 +1059,12 @@ def test_shared_chern_series_matches_two_loop_ratio():
 
 
 @st.composite
-def _square_matrices(draw):
-    """Square matrices of size 0-5 whose entries are small t-polynomials
-    with signed coefficients, about a third of them zero."""
-    size = draw(st.integers(0, 5))
+def _matrices(draw):
+    """A matrix with c columns and its width c: square of size 0-5, or
+    5 x 2, 6 x 3 or 7 x 3, its rows labelled by distinct integers in a drawn
+    order.  Entries are small t-polynomials with signed coefficients, about
+    a third of them zero."""
+    size, width = draw(st.sampled_from([(s, s) for s in range(6)] + [(5, 2), (6, 3), (7, 3)]))
 
     def entry():
         if not draw(st.integers(0, 2)):
@@ -1072,38 +1074,20 @@ def _square_matrices(draw):
             total = total + draw(st.integers(-3, 3)) * t(draw(st.integers(1, 4))) ** draw(st.integers(1, 2))
         return total
 
-    return [[entry() for _ in range(size)] for _ in range(size)]
+    labels = draw(st.permutations(range(-3, size - 3)))
+    return {p: [entry() for _ in range(width)] for p in labels}, width
 
 
-@given(_square_matrices())
+@given(_matrices())
 @settings(max_examples=150, deadline=None)
-def test_det_matches_permutation_sum(matrix):
-    rows = tuple(range(len(matrix)))
-    assert list(_minors(matrix, [rows])) == [det_by_permutations(matrix)]
-
-
-def test_maximal_minors_match_permutation_sum():
-    """Every maximal minor, rows in every order, of seeded 5 x 2, 6 x 3
-    and 7 x 3 matrices of small t-polynomials, about a third of the
-    entries zero, against the permutation sum of the selected rows."""
-    rng = random.Random(2501)
-
-    def entry():
-        if not rng.randrange(3):
-            return Polynomial.zero()
-        total = Polynomial.integer(rng.randint(-3, 3))
-        for _ in range(rng.randint(0, 2)):
-            total = total + rng.randint(-3, 3) * t(rng.randint(1, 4)) ** rng.randint(1, 2)
-        return total
-
-    for size, width in ((5, 2), (6, 3), (7, 3)):
-        matrix = {10 - p: [entry() for _ in range(width)] for p in range(size)}
-        selections = [rows for chosen in combinations(matrix, width)
-                      for rows in permutations(chosen)]
-        minors = list(_minors(matrix, selections))
-        assert len(minors) == len(selections)
-        for rows, minor in zip(selections, minors):
-            assert minor == det_by_permutations([matrix[p] for p in rows]), rows
+@seed(2501)
+def test_det_matches_permutation_sum(drawn):
+    """Every maximal minor, its rows in the drawn order, against the
+    permutation sum of those rows; a square matrix has one."""
+    matrix, width = drawn
+    selections = list(combinations(matrix, width))
+    assert list(_minors(matrix, selections)) == [
+        det_by_permutations([matrix[p] for p in rows]) for rows in selections]
 
 
 @pytest.mark.parametrize("n, k", [(6, 2), (7, 3)])

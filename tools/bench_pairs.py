@@ -21,7 +21,7 @@ run on both sides must print the same one.  `command` times the wall clock
 of `python -m eqschub ARGV...` in a fresh interpreter on each side,
 alternating the same way, and requires every run on both sides to exit
 with the same status and print the same stdout.  `setup` times the
-set-up of one workload alone, `perfbench/run.py --workload W --seed S
+set-up of one workload alone, `perfbench/run.py --workload W --seed 1
 --probe-setup`, in a fresh interpreter on each side, alternating the same
 way.  Each metric gets each side's median and quartiles, all of its runs,
 and the number of pairs the change won (ties count for neither side); the
@@ -198,14 +198,13 @@ def run_command(args, envs: dict) -> dict:
 def run_setup(args, envs: dict) -> dict:
     def run(root: Path) -> float:
         argv = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-                "--seed", str(args.seed), "--probe-setup"]
+                "--seed", "1", "--probe-setup"]
         out = subprocess.run(argv, cwd=root, env=envs[root], capture_output=True, text=True,
                              check=True)
         return json.loads(out.stdout.strip().splitlines()[-1])["setup_s"]
 
     pairs = [alternate(i, args.base, args.change, run) for i in range(args.repeats)]
-    return {"unit": "s", "seed": args.seed,
-            **compare([b for b, _ in pairs], [c for _, c in pairs], "lower")}
+    return {"unit": "s", **compare([b for b, _ in pairs], [c for _, c in pairs], "lower")}
 
 
 def side_env(root: Path, cache: str, compiled: bool = True) -> dict:
@@ -235,7 +234,6 @@ def main(argv=None) -> int:
         sub.add_argument("--out", type=Path, required=True)
     for sub in (workload, setup):
         sub.add_argument("--workload", required=True)
-    setup.add_argument("--seed", type=int, default=1)
     workload.add_argument("--seeds", type=parse_seeds, required=True)
     workload.add_argument("--seconds", type=float, default=15.0)
     build.add_argument("--shape", required=True, help="n,k of the Grassmannian",
