@@ -14,82 +14,44 @@ choice among its choices.  Any other command line (help flags,
 abbreviations, `--opt=value`, repeats, a missing option, a bad value, an
 unknown token) goes to the argparse parser that `build_parser` builds from
 the same table.  So argparse alone writes help and usage text, and a
-well-formed call neither imports nor builds it.  A class expression is read
-whole into a program, with every check made, before any class is built: so
-a syntax fault is reported even after a fault that only building would find.
-
-Class expressions: the program runs in three loops.  The class loop
-(`parse_class_expr`) builds the class from Schubert classes.  The degree
-loop (`_program_bound`) bounds its degree and finds the fixed points where
-it is zero by structure, before any work, so `integrate --class` refuses an
-integral too large to write out (see MAX_INTEGRAL_TERMS) and chooses its
-route.  The value loop (`_integral_by_points`) runs the program on integers
-at the points of a lattice, and the integral is interpolated from those
-values, with no class built.
+well-formed call neither imports nor builds it.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import sys
-from itertools import combinations
-from math import comb, lcm, prod
-from operator import le
+from math import comb
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from .dschur import _bialternant
-from .exactalg import MAX_EXPONENT, MAX_INDEX, EqschubError, ParseError, Polynomial, _interpolate
+from .exactalg import MAX_INDEX, EqschubError, ParseError
 from .gkmgrass import (
+    MAX_INTEGRAL_TERMS,
     EqClass,
-    constant_class,
+    _built_degree,
+    _class_of,
+    _class_program,
     gkm_check,
     gkm_graph,
-    integrate,
+    integrate_expression,
     kl_mismatches,
     positivity_certificate,
-    projective_zeta,
     schubert_class,
     structure_constants,
 )
 from .suites import SUITE_NAMES, run_suites
-from .ytcomb import GrassmannianShape, Partition, _check_partition, partition_to_subset
+from .ytcomb import GrassmannianShape, _parse_partition
 
 DOMAIN_ERROR = 1
 VERIFY_FAILURE = 2
 
 # A command accepts Gr(k, n) only with n <= MAX_INDEX, the number of t
 # variables, and, when it builds classes over all fixed points, at most
-# MAX_FIXED_POINTS of them; it refuses any other shape before it builds
-# anything.  The library API has no such bound.
+# MAX_FIXED_POINTS of them; `gkm-check --class` builds no class of degree D
+# with C(n + D, D) > MAX_INTEGRAL_TERMS.  Each refuses before it builds
+# anything; the library API has no such bound.
 MAX_FIXED_POINTS = 10_000
-
-# `integrate --class` bounds the degree of the class by D before it builds
-# anything (`_program_bound`), so its integral is a polynomial in t_1..t_n of
-# degree at most d = max(0, D - dim), with at most C(n + d, d) terms.  It
-# refuses the expression when that bound is above MAX_INTEGRAL_TERMS.  Then
-# it chooses a route.  At each fixed point where the class is not zero by
-# structure, the integer-point route (`_integral_by_points`) evaluates the
-# expression at the C(n + d, d) points of a lattice, and `integrate` on the
-# built class handles a restriction of up to C(n - 1 + D, D) terms against
-# dim tangent weights.  The integer-point route is taken when d = 0, or when
-# the second count is at least _CROSSOVER times the first; the crossover
-# was measured on classes from Gr(1,2) to Gr(3,7).
-MAX_INTEGRAL_TERMS = 1_000_000
-_CROSSOVER = 40
-
-
-def _parse_partition(text: str, where: str = "partition") -> Partition:
-    parts = []
-    for part in text.split(","):
-        try:
-            parts.append(int(part))
-        except ValueError:
-            if part.isdecimal():  # more digits than int() reads
-                raise ParseError(f"digit run too long in {where} at {part[:12]!r}") from None
-            raise ParseError(f"bad partition {text[:12]!r}; expected digits joined by commas") from None
-    return Partition.of(parts)
 
 
 def _emit(text: str, args) -> None:
@@ -103,187 +65,6 @@ def _emit(text: str, args) -> None:
 
 def _json_text(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
-# ---------------------------------------------------------------- expressions
-
-_EXPR_TOKEN = re.compile(r"\s*(?:(?P<s>s\d+(?:,\d+)*)|(?P<int>\d+)|(?P<word>zeta|[-+*^()])|(?P<bad>\S))")
-
-
-def _class_program(text: str, shape: GrassmannianShape) -> list[tuple]:
-    """The class expression `text` on `shape` as a postfix program, checked in
-    full (see the module docstring): ("s", partition), ("zeta", None) and
-    ("int", n) push a class, ("neg", None) and ("^", e) replace the top one,
-    and ("+", None), ("-", None) and ("*", None) replace the top two."""
-    tokens, program = [], []
-    for m in _EXPR_TOKEN.finditer(text):
-        kind, word = m.lastgroup, m[m.lastgroup]
-        if kind == "bad":
-            raise ParseError(f"bad class expression at {text[m.start():m.start() + 12]!r}")
-        if kind == "int":
-            try:
-                word = int(word)
-            except ValueError:  # more digits than int() reads
-                raise ParseError(f"digit run too long in class expression at {word[:12]!r}") from None
-        tokens.append(("s", _parse_partition(word[1:], "class expression")) if kind == "s"
-                      else (kind, word) if kind == "int" else (word, None))
-    if not tokens:
-        raise ParseError("empty class expression")
-    tokens = [(None, None)] + tokens[::-1]  # read from the end; (None, None) ends the text
-
-    def expr():
-        negate = False
-        while tokens[-1][0] in ("+", "-"):
-            negate ^= tokens.pop()[0] == "-"
-        term()
-        if negate:
-            program.append(("neg", None))
-        while tokens[-1][0] in ("+", "-"):
-            sign = tokens.pop()
-            term()
-            program.append(sign)
-
-    def term():
-        factor()
-        while tokens[-1][0] == "*":
-            tokens.pop()
-            factor()
-            program.append(("*", None))
-
-    def factor():
-        kind, value = tokens.pop()
-        if kind == "(":
-            expr()
-            if tokens.pop()[0] != ")":
-                raise ParseError("unbalanced parentheses")
-        elif kind == "zeta" and shape.k != 1:
-            raise EqschubError("zeta is only defined on Gr(1, n)")
-        elif kind in ("s", "zeta", "int"):
-            program.append((kind, _check_partition(value, shape) if kind == "s" else value))
-        else:
-            raise ParseError(f"unexpected token {kind!r}")
-        while tokens[-1][0] == "^":
-            tokens.pop()
-            kind, exponent = tokens.pop()
-            if kind != "int":
-                raise ParseError("exponent must be an integer literal")
-            if exponent > MAX_EXPONENT:
-                raise ParseError(f"exponent {exponent} exceeds {MAX_EXPONENT}")
-            program.append(("^", exponent))
-
-    try:
-        expr()
-    except RecursionError:
-        raise ParseError("class expression nests too deeply") from None
-    if len(tokens) > 1:
-        raise ParseError("trailing tokens in class expression")
-    return program
-
-
-def _run_program(program: list[tuple], leaf: Callable):
-    """The value of a program from `_class_program` on a stack, where leaf(op,
-    arg) gives the value an "s", "zeta" or "int" step pushes and the other
-    steps apply unary -, ** and binary *, + and - to the values."""
-    stack = []
-    for op, arg in program:
-        if op in ("s", "zeta", "int"):
-            stack.append(leaf(op, arg))
-        elif op == "neg":
-            stack[-1] = -stack[-1]
-        elif op == "^":
-            stack[-1] = stack[-1] ** arg
-        else:
-            rhs = stack.pop()
-            stack[-1] = stack[-1] * rhs if op == "*" else stack[-1] + rhs if op == "+" else stack[-1] - rhs
-    return stack.pop()
-
-
-def _class_of(program: list[tuple], shape: GrassmannianShape) -> EqClass:
-    """The class loop: the program run on classes."""
-    def leaf(op, arg):
-        if op == "s":
-            return schubert_class(arg, shape)
-        return projective_zeta(shape.n) if op == "zeta" else constant_class(shape, arg)
-
-    return _run_program(program, leaf)
-
-
-def parse_class_expr(text: str, shape: GrassmannianShape) -> EqClass:
-    """The class that `text` names on `shape`."""
-    return _class_of(_class_program(text, shape), shape)
-
-
-def _program_bound(program: list[tuple], shape: GrassmannianShape) -> tuple[int, int]:
-    """The degree loop: a bound on the degree of the program's class, and a
-    mask with bit j set for the j-th subset of `shape.subsets()` unless the
-    class is zero there by its structure.  The Schubert class of lam is zero
-    at J unless the partition of J contains lam, that is unless J lies entry
-    by entry below the pivot subset of lam; an integer literal is zero
-    everywhere or nowhere, a product is zero where either factor is and a sum
-    where both terms are.  A degree is at most MAX_INTEGRAL_TERMS + dim, since
-    `_cmd_integrate` refuses every degree above that; so chained powers stay
-    small numbers."""
-    everywhere, cap = (1 << comb(shape.n, shape.k)) - 1, MAX_INTEGRAL_TERMS + shape.dimension
-    masks, stack = {}, []
-    for op, arg in program:
-        if op == "s":
-            if arg not in masks:
-                top = partition_to_subset(arg, shape).elements
-                masks[arg] = sum(1 << j for j, J in enumerate(combinations(range(1, shape.n + 1), shape.k))
-                                 if all(map(le, J, top)))
-            stack.append((arg.weight, masks[arg]))
-        elif op == "zeta":
-            stack.append((1, everywhere))
-        elif op == "int":
-            stack.append((0, everywhere if arg else 0))
-        elif op == "^":
-            degree, mask = stack[-1]
-            stack[-1] = (min(degree * arg, cap), mask) if arg else (0, everywhere)
-        elif op != "neg":
-            (right, right_mask), (left, left_mask) = stack.pop(), stack[-1]
-            if op == "*":
-                mask = left_mask & right_mask
-                stack[-1] = (min(left + right, cap) if mask else 0, mask)
-            else:
-                stack[-1] = (max(left, right), left_mask | right_mask)
-    return stack.pop()
-
-
-def _integral_by_points(program: list[tuple], shape: GrassmannianShape, mask: int,
-                        d: int) -> Polynomial:
-    """The value loop: the integral of the program's class, of degree at most d,
-    rebuilt by `_interpolate` from its values at integer points p.  There it
-    is the sum over the fixed points J in mask of c(J)(p) / e_J(p), taken
-    over one common integer denominator: e_J(p) is the product of the
-    tangent weights t_j - t_i at p (i in J, j not in J), and c(J)(p) the
-    program run on integers, with `_bialternant` for each Schubert class,
-    -p_i for zeta at the point {i} and each integer literal itself."""
-    n = shape.n
-    fixed = [(J, tuple(i for i in range(1, n + 1) if i not in J))
-             for j, J in enumerate(combinations(range(1, n + 1), shape.k)) if mask >> j & 1]
-
-    def integral_at(point):
-        terms = []
-        for pivots, others in fixed:
-            memo: dict = {}
-
-            def leaf(op, arg):
-                if op == "s":
-                    if arg not in memo:
-                        memo[arg] = _bialternant(arg.parts, pivots, point)
-                    return memo[arg]
-                return -point[pivots[0] - 1] if op == "zeta" else arg
-
-            value = _run_program(program, leaf)
-            if value:
-                terms.append((value, prod(point[j - 1] - point[i - 1] for i in pivots for j in others)))
-        common = lcm(*(euler for _, euler in terms))
-        total, rest = divmod(sum(value * (common // euler) for value, euler in terms), common)
-        if rest:
-            raise AssertionError(f"integral of a class is not an integer at {point}: {rest}/{common} left")
-        return total
-
-    return _interpolate(integral_at, n, d)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -364,18 +145,7 @@ def _cmd_lr(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    shape = _shape_from(args)
-    program = _class_program(args.cls, shape)
-    degree, mask = _program_bound(program, shape)
-    d = max(0, degree - shape.dimension)
-    terms = comb(shape.n + d, d)
-    if terms > MAX_INTEGRAL_TERMS:
-        raise EqschubError(f"the integral may reach degree {d} and {terms} terms; "
-                           f"at most {MAX_INTEGRAL_TERMS} terms are accepted")
-    if not d or comb(shape.n - 1 + degree, degree) * shape.dimension >= _CROSSOVER * terms:
-        value = _integral_by_points(program, shape, mask, d)
-    else:
-        value = integrate(_class_of(program, shape))
+    value = integrate_expression(args.cls, _shape_from(args))
     if args.json:
         _emit(_json_text({"integral": str(value)}), args)
     else:
@@ -385,7 +155,13 @@ def _cmd_integrate(args) -> int:
 
 def _load_class(args, shape: GrassmannianShape) -> EqClass:
     if args.cls is not None:
-        return parse_class_expr(args.cls, shape)
+        program = _class_program(args.cls, shape)
+        degree = _built_degree(program, shape)
+        terms = comb(shape.n + degree, degree)
+        if terms > MAX_INTEGRAL_TERMS:
+            raise EqschubError(f"the class may reach degree {degree} and {terms} terms; "
+                               f"at most {MAX_INTEGRAL_TERMS} terms are accepted")
+        return _class_of(program, shape)
     with open(args.infile, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)

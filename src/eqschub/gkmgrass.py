@@ -8,14 +8,29 @@ with no terms that cancel.  Everything else (products, basis expansion,
 structure constants, positivity certificates, integration, the moment graph
 membership test, determinantal classes) works on those restriction tuples
 with exact arithmetic.
+
+Class expressions: an expression is read whole into a program, with every
+check made, before any class is built, so a syntax fault is reported even
+after a fault that only building would find.  The program runs in three
+loops.  The class loop (`parse_class_expr`) builds the class from Schubert
+classes.  The degree loop (`_program_bound`) bounds its degree and finds the
+fixed points where it is zero by structure, before any work, so
+`integrate_expression` refuses an integral too large to write out and
+chooses its route.  The value loop (`_integral_by_points`) runs the program
+on integers at the points of a lattice, and the integral is interpolated
+from those values, with no class built.
 """
 
 from __future__ import annotations
 
+import re
+from itertools import combinations
 from math import comb, lcm, prod
-from typing import Mapping
+from operator import le
+from typing import Callable, Mapping
 
 from .exactalg import (
+    MAX_EXPONENT,
     EqschubError,
     IndexOutOfRange,
     ParseError,
@@ -27,11 +42,12 @@ from .exactalg import (
     _coerce,
     _difference_chain,
     _divide_series,
+    _interpolate,
     _positivity_witness,
     _top_degree_value,
     _weight_indices,
 )
-from .dschur import _flagged_sum
+from .dschur import _bialternant, _flagged_sum
 from .ytcomb import (
     GrassmannianShape,
     Partition,
@@ -39,6 +55,7 @@ from .ytcomb import (
     _Record,
     _check_partition,
     _check_subset,
+    _parse_partition,
     normal_weights,
     partition_to_subset,
     subset_to_partition,
@@ -527,11 +544,8 @@ def integrate(c: EqClass) -> Polynomial:
 
 
 def _top_degree_integral(c: EqClass) -> int | None:
-    """Sum of c_dim(I)(p) / e_I(p) over one common integer denominator, where
-    c_dim(I)(p) is the degree-dim component of the restriction at I evaluated
-    at p = (1, 2, ..., n) and e_I(p) the product of the tangent weights
-    t_j - t_i at p, that is of j - i; None when some term has degree above
-    dim."""
+    """The integral of c when no term has degree above dim, else None: the
+    `_localization_sum` of each restriction's degree-dim part at (1, ..., n)."""
     n, dim = c.shape.n, c.shape.dimension
     terms = []
     for I, value in c.items():
@@ -539,12 +553,210 @@ def _top_degree_integral(c: EqClass) -> int | None:
         if top is None:
             return None
         if top:
-            terms.append((top, prod(j - i for i in I.elements for j in I.missing(n))))
+            terms.append((top, I.elements, I.missing(n)))
+    return _localization_sum(terms, tuple(range(1, n + 1)))
+
+
+def _localization_sum(terms, point) -> int:
+    """The sum of a class's value / e_J(p) for each (value, J, complement of J)
+    in terms, over one common integer denominator; e_J is `tangent_euler`."""
+    terms = [(value, prod(point[j - 1] - point[i - 1] for i in pivots for j in others))
+             for value, pivots, others in terms if value]
     common = lcm(*(euler for _, euler in terms))
-    total, rest = divmod(sum(top * (common // euler) for top, euler in terms), common)
+    total, rest = divmod(sum(value * (common // euler) for value, euler in terms), common)
     if rest:
-        raise AssertionError(f"integral of a GKM class is not an integer: {rest}/{common} left")
+        raise AssertionError(f"integral of a class is not an integer at {point}: {rest}/{common} left")
     return total
+
+
+MAX_INTEGRAL_TERMS = 1_000_000
+_CROSSOVER = 40
+
+
+def integrate_expression(text: str, shape: GrassmannianShape) -> Polynomial:
+    """The integral of the class expression `text` on `shape`.  The degree
+    loop bounds the class's degree by D before anything is built, so the
+    integral has degree at most d = max(0, D - dim) in t_1..t_n and at most
+    C(n + d, d) terms; EqschubError refuses it when that is above
+    MAX_INTEGRAL_TERMS.  At each fixed point where the class is not zero by
+    structure, the value loop evaluates the expression at the C(n + d, d)
+    points of a lattice, and `integrate` of the built class handles a
+    restriction of up to C(n - 1 + D, D) terms against dim tangent weights.
+    The value loop is taken when d = 0, or when the second count is at least
+    _CROSSOVER times the first, a crossover measured from Gr(1,2) to Gr(3,7)."""
+    program = _class_program(text, shape)
+    degree, mask = _program_bound(program, shape)
+    d = max(0, degree - shape.dimension)
+    terms = comb(shape.n + d, d)
+    if terms > MAX_INTEGRAL_TERMS:
+        raise EqschubError(f"the integral may reach degree {d} and {terms} terms; "
+                           f"at most {MAX_INTEGRAL_TERMS} terms are accepted")
+    if not d or comb(shape.n - 1 + degree, degree) * shape.dimension >= _CROSSOVER * terms:
+        return _integral_by_points(program, shape, mask, d)
+    return integrate(_class_of(program, shape))
+
+
+_EXPR_TOKEN = re.compile(r"\s*(?:(?P<s>s\d+(?:,\d+)*)|(?P<int>\d+)|(?P<word>zeta|[-+*^()])|(?P<bad>\S))")
+
+
+def _class_program(text: str, shape: GrassmannianShape) -> list[tuple]:
+    """The class expression `text` on `shape` as a postfix program, checked in
+    full (see the module docstring): ("s", partition), ("zeta", None) and
+    ("int", n) push a class, ("neg", None) and ("^", e) replace the top one,
+    and ("+", None), ("-", None) and ("*", None) replace the top two."""
+    tokens, program = [], []
+    for m in _EXPR_TOKEN.finditer(text):
+        kind, word = m.lastgroup, m[m.lastgroup]
+        if kind == "bad":
+            raise ParseError(f"bad class expression at {text[m.start():m.start() + 12]!r}")
+        if kind == "int":
+            try:
+                word = int(word)
+            except ValueError:  # more digits than int() reads
+                raise ParseError(f"digit run too long in class expression at {word[:12]!r}") from None
+        tokens.append(("s", _parse_partition(word[1:], "class expression")) if kind == "s"
+                      else (kind, word) if kind == "int" else (word, None))
+    if not tokens:
+        raise ParseError("empty class expression")
+    tokens = [(None, None)] + tokens[::-1]  # read from the end; (None, None) ends the text
+
+    def expr():
+        negate = False
+        while tokens[-1][0] in ("+", "-"):
+            negate ^= tokens.pop()[0] == "-"
+        term()
+        if negate:
+            program.append(("neg", None))
+        while tokens[-1][0] in ("+", "-"):
+            sign = tokens.pop()
+            term()
+            program.append(sign)
+
+    def term():
+        factor()
+        while tokens[-1][0] == "*":
+            tokens.pop()
+            factor()
+            program.append(("*", None))
+
+    def factor():
+        kind, value = tokens.pop()
+        if kind == "(":
+            expr()
+            if tokens.pop()[0] != ")":
+                raise ParseError("unbalanced parentheses")
+        elif kind == "zeta" and shape.k != 1:
+            raise EqschubError("zeta is only defined on Gr(1, n)")
+        elif kind in ("s", "zeta", "int"):
+            program.append((kind, _check_partition(value, shape) if kind == "s" else value))
+        else:
+            raise ParseError(f"unexpected token {kind!r}")
+        while tokens[-1][0] == "^":
+            tokens.pop()
+            kind, exponent = tokens.pop()
+            if kind != "int":
+                raise ParseError("exponent must be an integer literal")
+            if exponent > MAX_EXPONENT:
+                raise ParseError(f"exponent {exponent} exceeds {MAX_EXPONENT}")
+            program.append(("^", exponent))
+
+    try:
+        expr()
+    except RecursionError:
+        raise ParseError("class expression nests too deeply") from None
+    if len(tokens) > 1:
+        raise ParseError("trailing tokens in class expression")
+    return program
+
+
+def _run_program(program: list[tuple], leaf: Callable):
+    """The value of a program from `_class_program` on a stack, where leaf(op,
+    arg) gives the value an "s", "zeta" or "int" step pushes and the other
+    steps apply unary -, ** and binary *, + and - to the values."""
+    stack = []
+    for op, arg in program:
+        if op in ("s", "zeta", "int"):
+            stack.append(leaf(op, arg))
+        elif op == "neg":
+            stack[-1] = -stack[-1]
+        elif op == "^":
+            stack[-1] = stack[-1] ** arg
+        else:
+            rhs = stack.pop()
+            stack[-1] = stack[-1] * rhs if op == "*" else stack[-1] + rhs if op == "+" else stack[-1] - rhs
+    return stack.pop()
+
+
+def _class_of(program: list[tuple], shape: GrassmannianShape) -> EqClass:
+    """The class loop: the program run on classes."""
+    return _run_program(program, lambda op, arg: schubert_class(arg, shape) if op == "s"
+                        else projective_zeta(shape.n) if op == "zeta" else constant_class(shape, arg))
+
+
+def parse_class_expr(text: str, shape: GrassmannianShape) -> EqClass:
+    """The class that `text` names on `shape`."""
+    return _class_of(_class_program(text, shape), shape)
+
+
+def _program_bound(program: list[tuple], shape: GrassmannianShape) -> tuple[int, int]:
+    """The degree loop: a bound on the degree of the program's class, and a
+    mask with bit j set for the j-th subset of `shape.subsets()` unless the
+    class is zero there by its structure.  The Schubert class of lam is zero
+    at J unless the partition of J contains lam, that is unless J lies entry
+    by entry below the pivot subset of lam; an integer literal is zero
+    everywhere or nowhere, a product is zero where either factor is and a sum
+    where both terms are.  A degree is at most MAX_INTEGRAL_TERMS + dim, since
+    every degree above that is refused; so chained powers stay small numbers."""
+    everywhere, cap = (1 << comb(shape.n, shape.k)) - 1, MAX_INTEGRAL_TERMS + shape.dimension
+    masks, stack = {}, []
+    for op, arg in program:
+        if op == "s":
+            if arg not in masks:
+                top = partition_to_subset(arg, shape).elements
+                masks[arg] = sum(1 << j for j, J in enumerate(combinations(range(1, shape.n + 1), shape.k))
+                                 if all(map(le, J, top)))
+            stack.append((arg.weight, masks[arg]))
+        elif op == "zeta":
+            stack.append((1, everywhere))
+        elif op == "int":
+            stack.append((0, everywhere if arg else 0))
+        elif op == "^":
+            degree, mask = stack[-1]
+            stack[-1] = (min(degree * arg, cap), mask) if arg else (0, everywhere)
+        elif op != "neg":
+            (right, right_mask), (left, left_mask) = stack.pop(), stack[-1]
+            if op == "*":
+                mask = left_mask & right_mask
+                stack[-1] = (min(left + right, cap) if mask else 0, mask)
+            else:
+                stack[-1] = (max(left, right), left_mask | right_mask)
+    return stack.pop()
+
+
+def _built_degree(program: list[tuple], shape: GrassmannianShape) -> int:
+    """The degree loop with each integer literal and zero exponent read as 1: a
+    bound on every class the class loop builds, zero products and powers too."""
+    return _program_bound([(op, arg or 1) if op in ("int", "^") else (op, arg)
+                           for op, arg in program], shape)[0]
+
+
+def _integral_by_points(program: list[tuple], shape: GrassmannianShape, mask: int,
+                        d: int) -> Polynomial:
+    """The value loop: the integral of the program's class, of degree at most
+    d, interpolated from its `_localization_sum` at integer points p over the
+    fixed points in mask, with the program run on integers: `_bialternant`
+    for each Schubert class, -p_i for zeta at {i} and each literal itself."""
+    n = shape.n
+    fixed = [(J.elements, J.missing(n)) for j, J in enumerate(shape.subsets()) if mask >> j & 1]
+    schuberts = {arg for op, arg in program if op == "s"}
+
+    def value_at(pivots, point):
+        values = {lam: _bialternant(lam.parts, pivots, point) for lam in schuberts}
+        return _run_program(program, lambda op, arg: values[arg] if op == "s"
+                            else -point[pivots[0] - 1] if op == "zeta" else arg)
+
+    return _interpolate(lambda point: _localization_sum(
+        ((value_at(pivots, point), pivots, others) for pivots, others in fixed), point), n, d)
 
 
 def projective_zeta(n: int) -> EqClass:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .exactalg import EqschubError, Polynomial, t
+from .exactalg import EqschubError, ParseError, Polynomial, t
 
 
 class DoesNotFitBox(EqschubError):
@@ -219,6 +219,18 @@ def _check_partition(lam, shape: GrassmannianShape) -> Partition:
     if not lam.fits(shape):
         raise DoesNotFitBox(f"{lam} does not fit in {shape.k} x {shape.box_width}")
     return lam
+
+
+def _parse_partition(text: str, where: str = "partition") -> Partition:
+    parts = []
+    for part in text.split(","):
+        try:
+            parts.append(int(part))
+        except ValueError:
+            if part.isdecimal():  # more digits than int() reads
+                raise ParseError(f"digit run too long in {where} at {part[:12]!r}") from None
+            raise ParseError(f"bad partition {text[:12]!r}; expected digits joined by commas") from None
+    return Partition.of(parts)
 
 
 def subset_to_partition(I, shape: GrassmannianShape) -> Partition:

@@ -39,7 +39,6 @@ from math import prod
 
 import sympy
 
-from eqschub.cli import _parse_partition
 from eqschub.exactalg import (
     FAMILIES,
     MAX_EXPONENT,
@@ -67,7 +66,7 @@ from eqschub.gkmgrass import (
     projective_zeta,
     schubert_class,
 )
-from eqschub.ytcomb import Partition, subset_to_partition
+from eqschub.ytcomb import Partition, _parse_partition, subset_to_partition
 
 
 def lr_coefficient(lam, mu, nu) -> int:

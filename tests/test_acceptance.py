@@ -4,6 +4,7 @@ Every test prints a single [PASS]/[FAIL] line (visible with pytest -s) and
 asserts the criterion, including its runtime budget where one is stated.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -215,7 +216,7 @@ def test_criterion_08_kempf_laksov():
 def test_criterion_09_duality():
     failures = []
     start = time.perf_counter()
-    for n, k in ((3, 1), (4, 2)):
+    for n, k in ((3, 1), (4, 2), (5, 2), (6, 3), (7, 3)):
         shape = GrassmannianShape(n, k)
         for lam in shape.partitions():
             for mu in shape.partitions():
@@ -225,8 +226,13 @@ def test_criterion_09_duality():
                 if value != (1 if lam == mu else 0):
                     failures.append(f"Gr({k},{n}) <{lam},{mu}> = {value}")
     elapsed = time.perf_counter() - start
-    _report(9, "duality pairing is the Kronecker delta on Gr(1,3) and Gr(2,4)",
+    _report(9, "duality pairing is the Kronecker delta on Gr(1,3), Gr(2,4), Gr(2,5), "
+            "Gr(3,6) and Gr(3,7)",
             failures, elapsed)
+
+
+# The sha256 of the whole `eqschub verify --json` stdout, all six suites.
+VERIFY_JSON_SHA256 = "3722d779a32767330a59c48a4f5a1e56d6aa66b733c1a7b80121116ffacaf2d7"
 
 
 def test_criterion_10_determinism():
@@ -249,6 +255,9 @@ def test_criterion_10_determinism():
             failures.append(f"verify {run} run exited {result.returncode}")
     if outputs[0].stdout != outputs[1].stdout:
         failures.append("stdout differs between the two runs")
+    digest = hashlib.sha256(outputs[0].stdout).hexdigest()
+    if digest != VERIFY_JSON_SHA256:
+        failures.append(f"verify --json stdout hashes to {digest}, not {VERIFY_JSON_SHA256}")
     if not failures:
         report = json.loads(outputs[0].stdout)
         if not report["ok"]:
@@ -256,5 +265,5 @@ def test_criterion_10_determinism():
         if len(report["suites"]) != 6:
             failures.append("verify did not run all six suites")
     elapsed = time.perf_counter() - start
-    _report(10, "full verify output is byte-identical across runs",
+    _report(10, "full verify output is byte-identical across runs and to its pinned hash",
             failures, elapsed)

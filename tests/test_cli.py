@@ -11,9 +11,17 @@ from pathlib import Path
 
 import pytest
 
-from eqschub.cli import _class_program, main, parse_class_expr, parse_table
+from eqschub.cli import main, parse_table
 from eqschub.exactalg import EqschubError, ParseError, t
-from eqschub.gkmgrass import EqClass, constant_class, integrate, projective_zeta, schubert_class
+from eqschub.gkmgrass import (
+    EqClass,
+    _class_program,
+    constant_class,
+    integrate,
+    parse_class_expr,
+    projective_zeta,
+    schubert_class,
+)
 from eqschub.suites import run_suites
 from eqschub.ytcomb import GrassmannianShape
 
@@ -282,10 +290,17 @@ def test_class_json_refusal_text(tmp_path, capsys, restrictions, error):
     (("integrate", "--n", "4", "--k", "2", "--class", "s1^60000"),
      "the integral may reach degree 59996 and 539946001649985000 terms; "
      "at most 1000000 terms are accepted"),
+    (("gkm-check", "--n", "4", "--k", "2", "--class", "s1^60000"),
+     "the class may reach degree 60000 and 540090005250125001 terms; "
+     "at most 1000000 terms are accepted"),
+    (("gkm-check", "--n", "4", "--k", "2", "--class", "0*s1^60000"),
+     "the class may reach degree 60000 and 540090005250125001 terms; "
+     "at most 1000000 terms are accepted"),
 ], ids=["gr-20-40", "n-above-32", "too-many-points", "schur-restrict", "huge-exponent",
         "deep-nesting", "schur-long-row", "power-then-trailing", "power-then-zeta",
         "digit-run", "s-token-digit-run", "class-shape-digit-run", "lr-digit-run",
-        "schur-restrict-to-digit-run", "long-bad-partition", "huge-integral"])
+        "schur-restrict-to-digit-run", "long-bad-partition", "huge-integral",
+        "huge-class", "zero-times-huge-class"])
 def test_cli_refuses_oversized_input_quickly(capsys, argv, error):
     """C(40, 20) is about 1.4e11 points, C(16, 8) = 12,870 is above 10,000,
     t33 does not exist, the power would loop 10^8 times, the parentheses
@@ -293,9 +308,10 @@ def test_cli_refuses_oversized_input_quickly(capsys, argv, error):
     boxes would sum 2^33 tableau products before it reached u33, two
     expressions would build s1^120 before their fault, the integer or the
     partition part has more digits than int() reads, the bad partition is
-    quoted in 12 characters, and the integral of s1^60000 on Gr(2,4) has
-    degree up to 60000 - 4 in t1..t4: each is refused before any class or
-    tableau is built.  The 10 s limit is enforced during the call by an
+    quoted in 12 characters, the integral of s1^60000 on Gr(2,4) has
+    degree up to 60000 - 4 in t1..t4, and `gkm-check` would build s1^60000,
+    even to multiply it by 0: each is refused before any class or tableau
+    is built.  The 10 s limit is enforced during the call by an
     interval timer, so a refusal that hangs fails instead of stalling the
     run; pytest.fail raises past main's handlers of domain errors."""
 
@@ -405,7 +421,7 @@ def test_expression_reader_matches_descent_reader():
 def _by_points(text, shape):
     """The integral of the class expression by the integer-point route,
     whichever route `integrate --class` would take."""
-    from eqschub.cli import _integral_by_points, _program_bound
+    from eqschub.gkmgrass import _integral_by_points, _program_bound
 
     program = _class_program(text, shape)
     degree, mask = _program_bound(program, shape)
@@ -442,7 +458,7 @@ def test_point_route_matches_integrate():
     restrictions could have more than 500 terms or its integral could need
     more than 40 lattice points, to keep both sides short; at least 80 of
     those drawn have an integral of positive degree."""
-    from eqschub.cli import _integral_by_points, _program_bound
+    from eqschub.gkmgrass import _integral_by_points, _program_bound
 
     texts = [
         (4, 2, "s1^4"), (4, 2, "s2*s1^2"), (4, 2, "s1,1*s2"), (4, 2, "2*s1*s1*s1^2 - s2,1*s1"),
@@ -502,7 +518,7 @@ def test_point_route_matches_localization_sum_at_random_points(n, k, text):
     sum of `integral_at_point` there.  The sum reads the expression run on
     the built Schubert classes, each first evaluated at the point, so no
     restriction of the expression itself is expanded."""
-    from eqschub.cli import _run_program
+    from eqschub.gkmgrass import _run_program
 
     shape = GrassmannianShape(n, k)
     value = _by_points(text, shape)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from eqschub import dschur
-from eqschub.cli import parse_class_expr
 from eqschub.exactalg import (
     MonomialOverflow,
     ParseError,
@@ -35,6 +34,7 @@ from eqschub.gkmgrass import (
     kempf_laksov_class,
     kl_mismatches,
     opposite_schubert_class,
+    parse_class_expr,
     positivity_certificate,
     projective_zeta,
     schubert_class,

@@ -70,11 +70,23 @@ def test_polynomial_text_has_one_reader():
 
 
 def test_class_expressions_have_one_reader():
-    # The CLI reads a class expression into a checked postfix program; the
+    # gkmgrass reads a class expression into a checked postfix program; the
     # descent reader that built classes as it read is only a test oracle.
     import eqschub.cli
+    import eqschub.gkmgrass
 
-    assert not {"_ExprParser", "_expr_tokens"} & set(vars(eqschub.cli))
+    for module in (eqschub.cli, eqschub.gkmgrass):
+        assert not {"_ExprParser", "_expr_tokens"} & set(vars(module))
+
+
+def test_cli_holds_no_arithmetic():
+    # The CLI parses input, checks shapes and prints; gkmgrass alone decides
+    # how a class or a class expression is integrated.
+    import eqschub.cli
+
+    arithmetic = {"_bialternant", "_interpolate", "lcm", "prod", "_integral_by_points",
+                  "_program_bound", "_CROSSOVER"}
+    assert not arithmetic & set(vars(eqschub.cli))
 
 
 def test_gkmgrass_holds_no_monomial_layout_names():
