@@ -4,11 +4,15 @@ The one value type is `Polynomial`: a multivariate polynomial with arbitrary
 precision integer coefficients over the named variable families t, x, u, y;
 `Polynomial.parse` reads back the text `str` writes, one pattern match per
 term.  A torus weight t_a - t_b is a Polynomial too, and it is the only
-divisor; `ratf_sum` adds fractions whose denominators are products of such
-weights and divides the sum by them, so it returns a polynomial or raises
-NotDivisible.  A monomial is one int with a 16-bit exponent field per
-variable, so indices go up to MAX_INDEX = 32 and exponents up to
-MAX_EXPONENT = 65535; past either, MonomialOverflow is raised.  The change to
+divisor `divide_with_remainder` takes; `ratf_sum` adds fractions whose
+denominators are products of such weights and divides the sum by them, so
+it returns a polynomial or raises NotDivisible.  The one other divisor is a
+linear form in t with some coefficient +-1, such as the difference of two
+sums of t variables behind the structure constants: it is divided out
+exactly, by synthetic division in that one variable.  A monomial is one
+int with a 16-bit exponent field per variable, so indices go up to
+MAX_INDEX = 32 and exponents up to MAX_EXPONENT = 65535; past either,
+MonomialOverflow is raised.  The change to
 consecutive differences y_i = t_{i+1} - t_i behind Graham positivity
 certificates is a chain of one-variable shifts on that layout, not a generic
 substitution.  So are the two steps of a truncated Chern series behind the
@@ -537,6 +541,65 @@ def _weight_indices(divisor) -> tuple[int, int, int]:
         if ca in (1, -1) and cb == -ca and a and b:
             return a, b, ca
     raise ValueError(f"divisor must be a weight t_a - t_b, got {divisor}")
+
+
+def _divide_by_form(p: Polynomial, form: Polynomial) -> Polynomial:
+    """p divided exactly by a linear form in t in which some t_a has
+    coefficient s = +-1, such as a difference of two sums of t variables.
+
+    With a the largest such index, write the form as s*t_a + R, R free of
+    t_a, and p as sum_e F_e t_a^e.  Synthetic division in t_a gives the
+    quotient's coefficient of t_a^(e-1) as s*(F_e - R*q_e), from the top e
+    down, and leaves the remainder F_0 - R*q_0, free of t_a; a nonzero one
+    raises NotDivisible.  Each step adds at most 1 to each field, so while no
+    exponent of p reaches 2^15 none can pass MAX_EXPONENT; otherwise
+    MonomialOverflow is raised up front when p's total degree passes it.  Any
+    other divisor raises ValueError, and zero ZeroDivisionError.
+    """
+    if not form:
+        raise ZeroDivisionError("division by the zero polynomial")
+    indices = {m: _t_index(m) for m in form._terms}
+    units = [(i, m) for m, i in indices.items() if i and form._terms[m] in (1, -1)]
+    if not all(indices.values()) or not units:
+        raise ValueError(f"divisor must be a linear form in t with a coefficient +-1, got {form}")
+    _, lead = max(units)
+    sign, sa = form._terms[lead], lead.bit_length() - 1
+    rest = [(m, -c) for m, c in form._terms.items() if m != lead]
+    terms = p._terms
+    if _high(terms) and max(map(_mono_degree, terms)) > MAX_EXPONENT:
+        raise MonomialOverflow(f"degree {max(map(_mono_degree, terms))} exceeds {MAX_EXPONENT}")
+    levels: dict = {}
+    for mono, coeff in terms.items():
+        e = (mono >> sa) & MAX_EXPONENT
+        levels.setdefault(e, {})[mono - (e << sa)] = coeff
+    quotient: dict = {}
+    carry: dict = {}  # -R * q_e, to be added to F_(e-1)
+    for e in range(max(levels, default=0), 0, -1):
+        for mono, coeff in levels.get(e, {}).items():
+            nc = carry.get(mono, 0) + coeff
+            if nc:
+                carry[mono] = nc
+            else:
+                del carry[mono]
+        step, level, carry = (e - 1) << sa, carry, {}
+        for mono, coeff in level.items():
+            if not coeff:
+                continue
+            coeff *= sign
+            quotient[mono + step] = coeff
+            for rm, rc in rest:
+                key = mono + rm
+                carry[key] = carry.get(key, 0) + rc * coeff
+    remainder = dict(levels.get(0, {}))
+    for mono, coeff in carry.items():
+        nc = remainder.get(mono, 0) + coeff
+        if nc:
+            remainder[mono] = nc
+        else:
+            remainder.pop(mono, None)
+    if remainder:
+        raise NotDivisible(Polynomial._make(remainder), Polynomial._make(quotient))
+    return Polynomial._make(quotient)
 
 
 def _agree_at_diagonal(a: Polynomial, b: Polynomial, i: int, j: int) -> bool:

@@ -5,9 +5,10 @@ variables per pivot subset.  Schubert and opposite restrictions are sums
 over excited Young diagrams, taken as the flagged tableaux of `dschur`'s one
 tableau sum: products of positive weights t_j - t_i (i < j), one per box,
 with no terms that cancel.  Everything else (products, basis expansion,
-structure constants, positivity certificates, integration, the moment graph
-membership test, determinantal classes) works on those restriction tuples
-with exact arithmetic.
+positivity certificates, integration, the moment graph membership test,
+determinantal classes) works on those restriction tuples with exact
+arithmetic.  Structure constants build no class: the equivariant Chevalley
+recursion runs on Schubert values at single points.
 
 Class expressions: an expression is read whole into a program, with every
 check made, before any class is built, so a syntax fault is reported even
@@ -41,6 +42,7 @@ from .exactalg import (
     _chern_series,
     _coerce,
     _difference_chain,
+    _divide_by_form,
     _divide_series,
     _interpolate,
     _positivity_witness,
@@ -457,10 +459,74 @@ def expand_in_basis(c: EqClass) -> BasisExpansion:
     return BasisExpansion(shape, coeffs)
 
 
+def _sigma1_restriction(J: PivotSubset, shape: GrassmannianShape) -> Polynomial:
+    """The value of `schubert_class((1,))` at J: the sum of t_j over the top
+    k indices less the sum of t_j over J."""
+    top = range(shape.n - shape.k + 1, shape.n + 1)
+    return sum(map(t, top), Polynomial.zero()) - sum(map(t, J.elements), Polynomial.zero())
+
+
 def structure_constants(lam, mu, shape: GrassmannianShape) -> BasisExpansion:
-    """Expansion of the product of two Schubert classes in the basis."""
-    product = schubert_class(lam, shape) * schubert_class(mu, shape)
-    return expand_in_basis(product)
+    """The coefficients c^nu_{lam,mu} of sigma_lam * sigma_mu in the Schubert
+    basis, by the equivariant Chevalley recursion, with no class built.
+
+    The equivariant Chevalley rule is sigma_1 * sigma_lam = sigma_1|lam *
+    sigma_lam + the sum of sigma_{lam+} over the lam+ that add one box to
+    lam.  Comparing the coefficients of sigma_nu in sigma_1 * (sigma_lam *
+    sigma_mu) = (sigma_1 * sigma_lam) * sigma_mu gives, for nu != lam,
+
+        (sigma_1|nu - sigma_1|lam) c^nu_{lam,mu} = sum over the lam+ inside nu
+            of c^nu_{lam+,mu} - sum over the nu- containing lam of c^{nu-}_{lam,mu},
+
+    with c^lam_{lam,mu} the value of sigma_mu at lam's point, and c^nu_{lam,mu}
+    zero unless nu contains lam and mu and has weight at most |lam| + |mu|;
+    Knutson-Tao (Duke Math. J. 119, 2003) characterize the equivariant
+    structure constants of Gr(k, n) by this recursion.  As c is symmetric in
+    lam and mu, the heavier one is lam.  Every lam' containing lam is visited
+    by decreasing weight, and each nu containing lam' and mu by increasing
+    weight, so both sums are known when c^nu_{lam',mu} is formed.  The
+    divisor is the sum of t_j over lam's pivots less that over nu's: a
+    nonzero linear form with coefficients +-1, divided out exactly by
+    `_divide_by_form`.  The coefficients come in `shape.partitions()` order,
+    zeros dropped, as `expand_in_basis` of the product gives them.
+    """
+    lam, mu = _check_partition(lam, shape), _check_partition(mu, shape)
+    if lam.weight < mu.weight:
+        lam, mu = mu, lam
+    k, partitions = shape.k, shape.partitions()
+    rows = {nu: nu.padded(k) for nu in partitions}
+    sigma1 = {rows[nu]: _sigma1_restriction(partition_to_subset(nu, shape), shape) for nu in partitions}
+    # c^nu_{lam',mu} as {lam': {nu: value}}, partitions as padded rows: level
+    # for the lam' of the weight being visited, above for those one box heavier
+    level, above, weight = {}, {}, None
+    for outer in reversed([nu for nu in partitions if nu.contains(lam)]):
+        if outer.weight != weight:
+            level, above, weight = {}, level, outer.weight
+        lp, cap = rows[outer], outer.weight + mu.weight
+        floor = tuple(map(max, lp, mu.padded(k)))
+        table = level[lp] = {}
+        if floor == lp:  # lam' contains mu
+            table[lp] = _schubert_restriction(mu, partition_to_subset(outer, shape), shape)
+        for nu in partitions:
+            if nu.weight > cap:
+                break
+            p = rows[nu]
+            if p == lp or not all(map(le, floor, p)):
+                continue
+            rhs = Polynomial.zero()
+            for i in range(k):
+                if lp[i] < p[i] and (not i or lp[i - 1] > lp[i]):  # lam'+ inside nu
+                    value = above[lp[:i] + (lp[i] + 1,) + lp[i + 1:]].get(p)
+                    if value:
+                        rhs = rhs + value
+                if p[i] > lp[i] and (i == k - 1 or p[i + 1] < p[i]):  # nu- containing lam'
+                    value = table.get(p[:i] + (p[i] - 1,) + p[i + 1:])
+                    if value:
+                        rhs = rhs - value
+            if rhs:
+                table[p] = _divide_by_form(rhs, sigma1[p] - sigma1[lp])
+    table = level[rows[lam]]
+    return BasisExpansion(shape, {nu: table[rows[nu]] for nu in partitions if rows[nu] in table})
 
 
 class PositivityCertificate(_Record):

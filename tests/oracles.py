@@ -1,8 +1,8 @@
 """Independent oracles the tests check the engine against.
 
-Apart from the class-expression reader at the end, nothing here calls the
-engine's class construction: the LR counter is a
-direct backtracking enumeration of skew tableaux, the bialternant Schur
+Apart from the structure-constant oracle and the class-expression reader at
+the end, nothing here calls the engine's class construction: the LR counter
+is a direct backtracking enumeration of skew tableaux, the bialternant Schur
 polynomial goes through sympy, and the fixed-point restriction substitutes
 into an expanded polynomial with the generic arithmetic of `exactalg`.
 Schubert classes come from the semistandard tableau sum `restrict_schur` at
@@ -20,7 +20,9 @@ point is built factor by factor for each m with generic products.
 Polynomial text is read by a tokenizer and a token loop, which check every
 token before any syntax.  Class expressions are read by recursive descent
 over the tokens, building each class with the engine's constructors as soon
-as it is read, so that reader checks only the reading.
+as it is read, so that reader checks only the reading.  Structure constants
+come from the engine's former route: `expand_in_basis` of the product of
+the two Schubert classes, with no Chevalley recursion.
 
 The `tuple_*` functions are the polynomial arithmetic in the engine's former
 monomial layout: a tuple of ((rank, index), exponent) pairs sorted by
@@ -60,8 +62,10 @@ from eqschub.gkmgrass import (
     EqClass,
     GkmCheckResult,
     GkmViolation,
+    BasisExpansion,
     PositivityCertificate,
     constant_class,
+    expand_in_basis,
     gkm_graph,
     projective_zeta,
     schubert_class,
@@ -643,6 +647,12 @@ class _ExprParser:
                 raise ParseError("unbalanced parentheses")
             return value
         raise ParseError(f"unexpected token {payload!r}")
+
+
+def structure_constants_by_expansion(lam, mu, shape) -> BasisExpansion:
+    """The coefficients of sigma_lam * sigma_mu in the Schubert basis, by the
+    triangular sweep of `expand_in_basis` over the product class."""
+    return expand_in_basis(schubert_class(lam, shape) * schubert_class(mu, shape))
 
 
 def class_expr_by_descent(text: str, shape) -> EqClass:

@@ -53,6 +53,22 @@ def test_lr_golden_gr24(capsys):
     assert out == (GOLDEN / "lr_gr24_1_1.json").read_text()
 
 
+def test_lr_golden_gr48(capsys):
+    # Captured from the former route, expand_in_basis of the product class,
+    # which took about 5 s; the Chevalley recursion must print the same bytes.
+    code, out, _ = run_cli(capsys, "lr", "--n", "8", "--k", "4", "--a", "3,2,1", "--b", "3,2,1")
+    assert code == 0
+    assert out == (GOLDEN / "lr_gr48_321_321.json").read_text()
+
+
+def test_lr_partition_outside_the_box_is_one_error_line(capsys):
+    for argv in (["lr", "--n", "5", "--k", "2", "--a", "1,1,1", "--b", "1"],
+                 ["mult", "--n", "4", "--k", "2", "--a", "1", "--b", "3"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert len(err.splitlines()) == 1 and err.startswith("eqschub: error:"), err
+
+
 def test_schur_golden(capsys):
     code, out, _ = run_cli(capsys, "schur", "--shape", "2,1", "--k", "3", "--json")
     assert code == 0
@@ -544,6 +560,21 @@ def test_integrate_point_route_builds_no_class():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["77*t6 + 77*t5 + 56*t4 - 56*t3 - 77*t2 - 77*t1", "0"]
+
+
+def test_products_build_no_class():
+    """lr and mult, in a fresh interpreter, build no Schubert class: the
+    structure constants come from the Chevalley recursion alone."""
+    src = Path(__file__).parent.parent / "src"
+    code = ("import eqschub.cli, eqschub.gkmgrass as g; "
+            "eqschub.cli.main(['lr', '--n', '6', '--k', '3', '--a', '2,1', '--b', '2,1']); "
+            "eqschub.cli.main(['mult', '--n', '5', '--k', '2', '--a', '2,1', '--b', '1']); "
+            "print(len(g._SCHUBERT_CACHE))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    assert json.loads(lines[0])["positive"] is True
+    assert lines[1:] == ["2,1: t5 - t2", "2,2: 1", "3,1: 1", "positive: true", "0"]
 
 
 # -------------------------------------------------------------- determinism

@@ -18,6 +18,7 @@ from eqschub.exactalg import (
     elementary_symmetric,
     ratf_sum,
     _agree_at_diagonal,
+    _divide_by_form,
     t,
     u,
     x,
@@ -545,6 +546,67 @@ def test_division_certificate(f, weight):
     assert q * w + r == f
     assert ("t", a) not in r.variables()
     assert (f * w).divide_with_remainder(w) == (f, 0)
+
+
+@st.composite
+def linear_forms(draw):
+    """(form, a): a linear form in t1..t5 whose coefficient at t_a is +-1, the
+    others drawn from -3..3."""
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+    a = draw(st.integers(1, 5))
+    coeffs[a - 1] = draw(st.sampled_from((1, -1)))
+    return sum((c * t(i) for i, c in enumerate(coeffs, 1)), Polynomial.zero()), a
+
+
+@given(polys(max_terms=6), linear_forms())
+@settings(max_examples=80, deadline=None)
+def test_divide_by_form_round_trip(f, form):
+    form, _ = form
+    assert _divide_by_form(f * form, form) == f
+
+
+@given(polys(max_terms=6), linear_forms(), polys(max_terms=3))
+@settings(max_examples=80, deadline=None)
+def test_divide_by_form_refuses_a_non_multiple(f, form, extra):
+    # A nonzero r free of some t_a with coefficient +-1 in the form is no
+    # multiple of it, so f * form + r is refused; the quotient and the
+    # nonzero remainder it carries still make up the dividend.
+    form, a = form
+    r = extra.substitute({("t", i): 0 if i == a else t(i) for i in (1, 2, 3)}) or Polynomial.one()
+    with pytest.raises(NotDivisible) as info:
+        _divide_by_form(f * form + r, form)
+    assert info.value.remainder
+    assert info.value.quotient * form + info.value.remainder == f * form + r
+
+
+def test_divide_by_form_examples():
+    form = t(1) + t(4) - t(2) - t(5)
+    f = (t(1) ** 2 - 3 * t(4) * t(2) + 7) * (t(6) - t(2)) ** 2
+    assert _divide_by_form(f * form, form) == f
+    assert _divide_by_form(f * -form, -form) == f
+    assert _divide_by_form(Polynomial.zero(), form) == 0
+    # t1 + t2 is a linear form with unit coefficients, which divide_with_remainder refuses.
+    assert _divide_by_form(t(1) ** 2 - t(2) ** 2, t(1) + t(2)) == t(1) - t(2)
+    with pytest.raises(NotDivisible):
+        _divide_by_form(t(1) ** 2 + t(2) ** 2, t(1) + t(2))
+    with pytest.raises(NotDivisible):
+        _divide_by_form(Polynomial.integer(3), form)
+
+
+def test_divide_by_form_refuses_other_divisors():
+    for divisor in (Polynomial.one(), t(1) * t(2), t(1) + 1, 2 * t(1) - 2 * t(2), x(1) - t(1)):
+        with pytest.raises(ValueError, match="linear form"):
+            _divide_by_form(t(1) ** 2, divisor)
+    with pytest.raises(ZeroDivisionError):
+        _divide_by_form(t(1), Polynomial.zero())
+
+
+def test_divide_by_form_near_the_exponent_bound():
+    form = t(2) - t(1) + t(3)
+    big = t(2) ** 40000 * t(1) ** 20000
+    assert _divide_by_form(big * form, form) == big
+    with pytest.raises(MonomialOverflow):
+        _divide_by_form(t(2) ** 40000 * t(1) ** 30000, form)
 
 
 @given(polys(), polys())

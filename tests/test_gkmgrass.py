@@ -24,6 +24,8 @@ from eqschub.gkmgrass import (
     NotInSpan,
     ShapeMismatch,
     _minors,
+    _schubert_restriction,
+    _sigma1_restriction,
     chern_class_taut,
     constant_class,
     euler_class,
@@ -59,8 +61,10 @@ from oracles import (
     excited_diagrams,
     gkm_check_by_division,
     integral_at_point,
+    lr_coefficient,
     opposite_by_substitution,
     schubert_by_tableau_sum,
+    structure_constants_by_expansion,
     value_at,
 )
 
@@ -68,6 +72,7 @@ GR12 = GrassmannianShape(2, 1)
 GR24 = GrassmannianShape(4, 2)
 GR25 = GrassmannianShape(5, 2)
 GR36 = GrassmannianShape(6, 3)
+UP_TO_N6 = [GrassmannianShape(n, k) for n in range(2, 7) for k in range(1, n)]
 UP_TO_N7 = [GrassmannianShape(n, k) for n in range(2, 8) for k in range(1, n)]
 UP_TO_N9 = [GrassmannianShape(n, k) for n in range(2, 10) for k in range(1, n)]
 
@@ -790,6 +795,48 @@ def test_structure_constants_follow_equivariant_chevalley_rule():
         if diagonal:
             want[lam] = diagonal
         assert structure_constants((1,), lam, shape).coeffs == want, (shape, lam)
+
+
+def test_sigma1_closed_form_matches_schubert_values():
+    # The recursion's divisor sigma_1|nu - sigma_1|lam rests on this value,
+    # sign included.
+    for shape in UP_TO_N7:
+        for J in shape.subsets():
+            assert _sigma1_restriction(J, shape) == _schubert_restriction(Partition((1,)), J, shape), J
+
+
+def test_structure_constants_match_expansion_oracle():
+    # The Chevalley recursion against expand_in_basis of the product class:
+    # equal dicts in equal order, on every ordered pair of every Gr(k, n)
+    # with n <= 6 and on 30 seeded pairs of Gr(3,7).  The product class is
+    # the same in either order, so one oracle call serves both orders.
+    cases = [(shape, a, b) for shape in UP_TO_N6
+             for i, a in enumerate(shape.partitions()) for b in shape.partitions()[i:]]
+    gr37 = GrassmannianShape(7, 3)
+    rng = random.Random(2701)
+    cases += [(gr37, *rng.choices(gr37.partitions(), k=2)) for _ in range(30)]
+    for shape, a, b in cases:
+        want = list(structure_constants_by_expansion(a, b, shape).coeffs.items())
+        assert list(structure_constants(a, b, shape).coeffs.items()) == want, (shape, a, b)
+        assert list(structure_constants(b, a, shape).coeffs.items()) == want, (shape, b, a)
+
+
+@pytest.mark.parametrize("mu", [(3, 2, 1)] + random.Random(2702).sample(
+    [lam.parts for lam in GrassmannianShape(8, 4).partitions()], 3))
+def test_structure_constants_on_gr48(mu):
+    # sigma_{3,2,1} * sigma_mu on Gr(4,8): the degree-0 constants are the
+    # Littlewood-Richardson numbers, each c^nu is homogeneous of degree
+    # |lam| + |mu| - |nu|, and each is Graham-positive.
+    shape, lam = GrassmannianShape(8, 4), Partition((3, 2, 1))
+    mu = Partition(mu)
+    coeffs = structure_constants(lam, mu, shape).coeffs
+    top = lam.weight + mu.weight
+    for nu in shape.partitions():
+        if nu.weight == top:
+            assert coeffs.get(nu, 0) == lr_coefficient(lam.parts, mu.parts, nu.parts), nu
+    for nu, coeff in coeffs.items():
+        assert coeff.is_homogeneous() and coeff.degree() == top - nu.weight, nu
+        assert positivity_certificate(coeff, shape.n).ok, nu
 
 
 # ----------------------------------------------------------------- positivity

@@ -20,7 +20,9 @@ sorted-key JSON of every class it built, one class after another, and every
 run on both sides must print the same one.  `command` times the wall clock
 of `python -m eqschub ARGV...` in a fresh interpreter on each side,
 alternating the same way, and requires every run on both sides to exit
-with the same status and print the same stdout.  `setup` times the
+with the same status and print the same stdout; beside the wall time it
+records the child's peak RSS in MB, the ru_maxrss that os.wait4 returns
+when it reaps the child.  `setup` times the
 set-up of one workload alone, `perfbench/run.py --workload W --seed 1
 --probe-setup`, in a fresh interpreter on each side, alternating the same
 way.  Each metric gets each side's median and quartiles, all of its runs,
@@ -178,21 +180,28 @@ def run_build(args, envs: dict) -> dict:
 
 
 def run_command(args, envs: dict) -> dict:
-    def run(root: Path) -> tuple[float, int, str]:
+    def run(root: Path) -> tuple[float, float, int, str]:
         env = dict(envs[root], PYTHONPATH=str(root / "src"))
-        start = time.perf_counter()
-        out = subprocess.run([sys.executable, "-m", "eqschub", *args.argv], cwd=root, env=env,
-                             capture_output=True, text=True)
-        return time.perf_counter() - start, out.returncode, out.stdout
+        with tempfile.TemporaryFile() as stdout:
+            start = time.perf_counter()
+            child = subprocess.Popen([sys.executable, "-m", "eqschub", *args.argv], cwd=root,
+                                     env=env, stdout=stdout, stderr=subprocess.DEVNULL)
+            _, status, usage = os.wait4(child.pid, 0)
+            seconds = time.perf_counter() - start
+            child.returncode = os.waitstatus_to_exitcode(status)
+            stdout.seek(0)
+            out = stdout.read().decode()
+        return seconds, usage.ru_maxrss / 1024, child.returncode, out
 
     pairs = [alternate(i, args.base, args.change, run) for i in range(args.repeats)]
-    outputs = {(status, out) for side in pairs for _, status, out in side}
+    outputs = {(status, out) for side in pairs for _, _, status, out in side}
     if len(outputs) != 1:
         raise SystemExit(f"{shlex.join(args.argv)}: the runs differ in exit status or stdout")
     status, out = outputs.pop()
     return {"unit": "s", "exit_status": status,
             "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
-            **compare([b[0] for b, _ in pairs], [c[0] for _, c in pairs], "lower")}
+            **compare([b[0] for b, _ in pairs], [c[0] for _, c in pairs], "lower"),
+            "peak_rss_mb": compare([b[1] for b, _ in pairs], [c[1] for _, c in pairs], "lower")}
 
 
 def run_setup(args, envs: dict) -> dict:
