@@ -572,31 +572,24 @@ def _divide_by_form(p: Polynomial, form: Polynomial) -> Polynomial:
     for mono, coeff in terms.items():
         e = (mono >> sa) & MAX_EXPONENT
         levels.setdefault(e, {})[mono - (e << sa)] = coeff
+    # carry holds -R * q_e, then F_e - R * q_e once F_e is added; at e = 0
+    # that is the remainder.
     quotient: dict = {}
-    carry: dict = {}  # -R * q_e, to be added to F_(e-1)
-    for e in range(max(levels, default=0), 0, -1):
+    carry: dict = {}
+    for e in range(max(levels, default=0), -1, -1):
         for mono, coeff in levels.get(e, {}).items():
-            nc = carry.get(mono, 0) + coeff
-            if nc:
-                carry[mono] = nc
-            else:
-                del carry[mono]
+            carry[mono] = carry.get(mono, 0) + coeff
+        if not e:
+            break
         step, level, carry = (e - 1) << sa, carry, {}
         for mono, coeff in level.items():
-            if not coeff:
-                continue
-            coeff *= sign
-            quotient[mono + step] = coeff
-            for rm, rc in rest:
-                key = mono + rm
-                carry[key] = carry.get(key, 0) + rc * coeff
-    remainder = dict(levels.get(0, {}))
-    for mono, coeff in carry.items():
-        nc = remainder.get(mono, 0) + coeff
-        if nc:
-            remainder[mono] = nc
-        else:
-            remainder.pop(mono, None)
+            if coeff:
+                coeff *= sign
+                quotient[mono + step] = coeff
+                for rm, rc in rest:
+                    key = mono + rm
+                    carry[key] = carry.get(key, 0) + rc * coeff
+    remainder = {mono: coeff for mono, coeff in carry.items() if coeff}
     if remainder:
         raise NotDivisible(Polynomial._make(remainder), Polynomial._make(quotient))
     return Polynomial._make(quotient)

@@ -459,11 +459,11 @@ def expand_in_basis(c: EqClass) -> BasisExpansion:
     return BasisExpansion(shape, coeffs)
 
 
-def _sigma1_restriction(J: PivotSubset, shape: GrassmannianShape) -> Polynomial:
-    """The value of `schubert_class((1,))` at J: the sum of t_j over the top
-    k indices less the sum of t_j over J."""
-    top = range(shape.n - shape.k + 1, shape.n + 1)
-    return sum(map(t, top), Polynomial.zero()) - sum(map(t, J.elements), Polynomial.zero())
+def _sigma1_difference(I: PivotSubset, J: PivotSubset) -> Polynomial:
+    """sigma_1|J - sigma_1|I.  The value of `schubert_class((1,))` at J is the
+    sum of t_j over the top k indices less the sum of t_j over J, so the
+    difference is the sum of t_i over I less the sum of t_j over J."""
+    return sum(map(t, I.elements), Polynomial.zero()) - sum(map(t, J.elements), Polynomial.zero())
 
 
 def structure_constants(lam, mu, shape: GrassmannianShape) -> BasisExpansion:
@@ -485,28 +485,28 @@ def structure_constants(lam, mu, shape: GrassmannianShape) -> BasisExpansion:
     lam and mu, the heavier one is lam.  Every lam' containing lam is visited
     by decreasing weight, and each nu containing lam' and mu by increasing
     weight, so both sums are known when c^nu_{lam',mu} is formed.  The
-    divisor is the sum of t_j over lam's pivots less that over nu's: a
-    nonzero linear form with coefficients +-1, divided out exactly by
-    `_divide_by_form`.  The coefficients come in `shape.partitions()` order,
-    zeros dropped, as `expand_in_basis` of the product gives them.
+    divisor is the sum of t_j over lam's pivots less that over nu's
+    (`_sigma1_difference`): a nonzero linear form with coefficients +-1,
+    divided out exactly by `_divide_by_form`.  The coefficients come in
+    `shape.partitions()` order, zeros dropped, as `expand_in_basis` of the
+    product gives them.
     """
     lam, mu = _check_partition(lam, shape), _check_partition(mu, shape)
     if lam.weight < mu.weight:
         lam, mu = mu, lam
     k, partitions = shape.k, shape.partitions()
     rows = {nu: nu.padded(k) for nu in partitions}
-    sigma1 = {rows[nu]: _sigma1_restriction(partition_to_subset(nu, shape), shape) for nu in partitions}
     # c^nu_{lam',mu} as {lam': {nu: value}}, partitions as padded rows: level
     # for the lam' of the weight being visited, above for those one box heavier
     level, above, weight = {}, {}, None
     for outer in reversed([nu for nu in partitions if nu.contains(lam)]):
         if outer.weight != weight:
             level, above, weight = {}, level, outer.weight
-        lp, cap = rows[outer], outer.weight + mu.weight
+        lp, cap, J = rows[outer], outer.weight + mu.weight, partition_to_subset(outer, shape)
         floor = tuple(map(max, lp, mu.padded(k)))
         table = level[lp] = {}
         if floor == lp:  # lam' contains mu
-            table[lp] = _schubert_restriction(mu, partition_to_subset(outer, shape), shape)
+            table[lp] = _schubert_restriction(mu, J, shape)
         for nu in partitions:
             if nu.weight > cap:
                 break
@@ -524,7 +524,7 @@ def structure_constants(lam, mu, shape: GrassmannianShape) -> BasisExpansion:
                     if value:
                         rhs = rhs - value
             if rhs:
-                table[p] = _divide_by_form(rhs, sigma1[p] - sigma1[lp])
+                table[p] = _divide_by_form(rhs, _sigma1_difference(J, partition_to_subset(nu, shape)))
     table = level[rows[lam]]
     return BasisExpansion(shape, {nu: table[rows[nu]] for nu in partitions if rows[nu] in table})
 

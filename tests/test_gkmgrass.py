@@ -25,7 +25,7 @@ from eqschub.gkmgrass import (
     ShapeMismatch,
     _minors,
     _schubert_restriction,
-    _sigma1_restriction,
+    _sigma1_difference,
     chern_class_taut,
     constant_class,
     euler_class,
@@ -798,11 +798,15 @@ def test_structure_constants_follow_equivariant_chevalley_rule():
 
 
 def test_sigma1_closed_form_matches_schubert_values():
-    # The recursion's divisor sigma_1|nu - sigma_1|lam rests on this value,
-    # sign included.
+    # The recursion's divisor sigma_1|J - sigma_1|I, sign included, on every
+    # pair of points of every Gr(k, n) with n <= 7; sigma_1 is zero at the
+    # last subset, so the pairs with I last check sigma_1|J itself.
     for shape in UP_TO_N7:
-        for J in shape.subsets():
-            assert _sigma1_restriction(J, shape) == _schubert_restriction(Partition((1,)), J, shape), J
+        values = {J: _schubert_restriction(Partition((1,)), J, shape) for J in shape.subsets()}
+        assert not values[shape.subsets()[-1]]
+        for I in values:
+            for J in values:
+                assert _sigma1_difference(I, J) == values[J] - values[I], (I, J)
 
 
 def test_structure_constants_match_expansion_oracle():
