@@ -59,10 +59,10 @@ from eqschub.exactalg import (
 )
 from eqschub.dschur import restrict_schur
 from eqschub.gkmgrass import (
+    BasisExpansion,
     EqClass,
     GkmCheckResult,
     GkmViolation,
-    BasisExpansion,
     PositivityCertificate,
     constant_class,
     expand_in_basis,
