@@ -25,7 +25,7 @@ from math import comb
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from .exactalg import MAX_INDEX, EqschubError, ParseError
+from .exactalg import MAX_INDEX, EqschubError, ParseError, u, x
 from .gkmgrass import (
     MAX_INTEGRAL_TERMS,
     EqClass,
@@ -41,7 +41,7 @@ from .gkmgrass import (
     structure_constants,
 )
 from .suites import SUITE_NAMES, run_suites
-from .ytcomb import GrassmannianShape, _parse_partition
+from .ytcomb import GrassmannianShape, _check_partition, _parse_partition, _ssyt_count
 
 DOMAIN_ERROR = 1
 VERIFY_FAILURE = 2
@@ -49,8 +49,8 @@ VERIFY_FAILURE = 2
 # A command accepts Gr(k, n) only with n <= MAX_INDEX, the number of t
 # variables, and, when it builds classes over all fixed points, at most
 # MAX_FIXED_POINTS of them; `gkm-check --class` builds no class of degree D
-# with C(n + D, D) > MAX_INTEGRAL_TERMS.  Each refuses before it builds
-# anything; the library API has no such bound.
+# with C(n + D, D) > MAX_INTEGRAL_TERMS, and `schur` no tableau sum of more
+# terms.  Each refuses before it builds anything; the library has no bound.
 MAX_FIXED_POINTS = 10_000
 
 
@@ -89,16 +89,26 @@ def _shape_from(args) -> GrassmannianShape:
 def _cmd_schur(args) -> int:
     from .dschur import double_schur, ordinary_schur, restrict_schur
 
-    lam = _parse_partition(args.shape)
+    lam, k = _parse_partition(args.shape), args.k
+    ordinary = args.ordinary and args.restrict_to is None
     if args.restrict_to is not None:
         if args.n is None:
             raise EqschubError("--restrict-to needs --n")
-        mu = _parse_partition(args.restrict_to)
-        poly = restrict_schur(lam, mu, _indexed_shape(args))
-    elif args.ordinary:
-        poly = ordinary_schur(lam, args.k)
+        mu, shape = _parse_partition(args.restrict_to), _indexed_shape(args)
+        lam = _check_partition(lam, shape)
+    elif lam.parts:  # dschur's first check, of the top indices, before the size bound
+        x(k) if ordinary else x(k) - u(k + lam.parts[0] - lam.parts.count(lam.parts[0]))
+    # A tableau's product has one factor per box, of two terms unless ordinary.
+    terms = _ssyt_count(lam, k) << (0 if ordinary else lam.weight)
+    if terms > MAX_INTEGRAL_TERMS:
+        raise EqschubError(f"the tableau sum may form {terms} terms; "
+                           f"at most {MAX_INTEGRAL_TERMS} terms are accepted")
+    if args.restrict_to is not None:
+        poly = restrict_schur(lam, mu, shape)
+    elif ordinary:
+        poly = ordinary_schur(lam, k)
     else:
-        poly = double_schur(lam, args.k)
+        poly = double_schur(lam, k)
     if args.json:
         _emit(_json_text({"shape": list(lam.parts), "k": args.k, "poly": str(poly)}), args)
     else:

@@ -3,16 +3,16 @@
 The one value type is `Polynomial`: a multivariate polynomial with arbitrary
 precision integer coefficients over the named variable families t, x, u, y;
 `Polynomial.parse` reads back the text `str` writes, one pattern match per
-term.  A torus weight t_a - t_b is a Polynomial too, and it is the only
-divisor `divide_with_remainder` takes; `ratf_sum` adds fractions whose
-denominators are products of such weights and divides the sum by them, so
-it returns a polynomial or raises NotDivisible.  The one other divisor is a
-linear form in t with some coefficient +-1, such as the difference of two
-sums of t variables behind the structure constants: it is divided out
-exactly, by synthetic division in that one variable.  A monomial is one
-int with a 16-bit exponent field per variable, so indices go up to
-MAX_INDEX = 32 and exponents up to MAX_EXPONENT = 65535; past either,
-MonomialOverflow is raised.  The change to
+term.  There is one division: synthetic division by a linear form in t
+with a coefficient +-1, which leaves a remainder free of that variable.
+The public `divide_with_remainder` and `exact_divide` take only a torus
+weight t_a - t_b, itself a Polynomial; the structure constants also divide
+by differences of two sums of t variables.  `ratf_sum` adds fractions whose
+denominators are products of weights and divides the sum by them, so it
+returns a polynomial or raises NotDivisible.  A monomial is one int with a
+16-bit exponent field per variable, so indices go up to MAX_INDEX = 32 and
+exponents up to MAX_EXPONENT = 65535; past either, MonomialOverflow is
+raised.  The change to
 consecutive differences y_i = t_{i+1} - t_i behind Graham positivity
 certificates is a chain of one-variable shifts on that layout, not a generic
 substitution.  So are the two steps of a truncated Chern series behind the
@@ -78,7 +78,7 @@ class ParseError(EqschubError):
 
 
 class NotDivisible(EqschubError):
-    """Division by a weight left a nonzero remainder."""
+    """Division left a nonzero remainder."""
 
     def __init__(self, remainder: "Polynomial", quotient: "Polynomial"):
         super().__init__("exact division failed")
@@ -389,45 +389,12 @@ class Polynomial:
         """Division by a weight: returns (q, r) with self = q*divisor + r.
 
         The divisor must be s*(t_a - t_b) with a > b and s = +-1; zero raises
-        ZeroDivisionError and any other divisor ValueError.  The remainder is
-        self with t_a set to t_b, so it is zero exactly when the weight
-        divides self.  The quotient comes from synthetic division in t_a:
-        writing self = sum_e F_e t_a^e, its coefficient of t_a^(e-1) is
-        sum_{e' >= e} F_e' t_b^(e'-e).  These are the unique q and r with r
-        free of t_a, the result of graded-lex division by the leading term t_a.
-        MonomialOverflow is raised when a t_b exponent of q or r would pass
-        MAX_EXPONENT.
+        ZeroDivisionError and any other divisor ValueError.  q and r come from
+        `_divide`: r is self with t_a set to t_b, so it is zero exactly when
+        the weight divides self.
         """
-        a, b, sign = _weight_indices(divisor)
-        sa, sb = _shift(_T, a), _shift(_T, b)
-        terms, sd = self._terms, sb
-        if _high(terms) & (MAX_EXPONENT << sa | MAX_EXPONENT << sb):
-            terms, sd = _widen(terms, sb), _WIDE
-        # Moving the t_a exponent e onto t_b's field (at sd) gives the key of
-        # a term: the rest of the monomial with the combined exponent d there.
-        move = (1 << sd) - (1 << sa)
-        levels: dict = {}
-        for mono, coeff in terms.items():
-            e = (mono >> sa) & MAX_EXPONENT
-            levels.setdefault(e, []).append((mono + e * move, coeff))
-        # merged holds sum_{e' >= e} F_e' with t_a -> t_b.
-        merged: dict = {}
-        quotient: dict = {}
-        for e in range(max(levels, default=0), -1, -1):
-            for key, coeff in levels.get(e, ()):
-                nc = merged.get(key, 0) + coeff
-                if nc:
-                    merged[key] = nc
-                else:
-                    del merged[key]
-            if not e:
-                break
-            step = ((e - 1) << sa) - (e << sd)  # t_b^d -> t_a^(e-1) t_b^(d-e)
-            for key, coeff in merged.items():
-                quotient[key + step] = sign * coeff
-        if sd != sb:
-            quotient, merged = _narrow(quotient, sb), _narrow(merged, sb)
-        return Polynomial._make(quotient), Polynomial._make(merged)
+        _weight_indices(divisor)
+        return _divide(self, divisor)
 
     def exact_divide(self, divisor: PolyLike) -> "Polynomial":
         """Return q with q * divisor == self, or raise NotDivisible."""
@@ -543,18 +510,20 @@ def _weight_indices(divisor) -> tuple[int, int, int]:
     raise ValueError(f"divisor must be a weight t_a - t_b, got {divisor}")
 
 
-def _divide_by_form(p: Polynomial, form: Polynomial) -> Polynomial:
-    """p divided exactly by a linear form in t in which some t_a has
-    coefficient s = +-1, such as a difference of two sums of t variables.
+def _divide(p: Polynomial, form: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """The unique (q, r) with p = q*form + r and r free of t_a, for a linear
+    form in t with coefficient s = +-1 at t_a, a as large as it can be.
 
-    With a the largest such index, write the form as s*t_a + R, R free of
-    t_a, and p as sum_e F_e t_a^e.  Synthetic division in t_a gives the
-    quotient's coefficient of t_a^(e-1) as s*(F_e - R*q_e), from the top e
-    down, and leaves the remainder F_0 - R*q_0, free of t_a; a nonzero one
-    raises NotDivisible.  Each step adds at most 1 to each field, so while no
-    exponent of p reaches 2^15 none can pass MAX_EXPONENT; otherwise
-    MonomialOverflow is raised up front when p's total degree passes it.  Any
-    other divisor raises ValueError, and zero ZeroDivisionError.
+    Write the form as s*t_a + R and p as sum_e F_e t_a^e.  Synthetic division
+    in t_a gives q's coefficient of t_a^(e-1) as s*(F_e - R*q_e), from the
+    top e down, and r = F_0 - R*q_0; for a weight s*(t_a - t_b), r is p with
+    t_a set to t_b.  If R is c*t_b, t_b's field is widened while p has an
+    exponent of 2^15 or more there or at t_a, and MonomialOverflow is raised
+    when a t_b exponent of q or r passes MAX_EXPONENT.  With more terms in
+    R, each step adds at most 1 to the other fields, so MonomialOverflow is
+    raised up front only when p has such an exponent and a total degree
+    above MAX_EXPONENT.  Any other divisor raises ValueError, and zero
+    ZeroDivisionError.
     """
     if not form:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -564,35 +533,39 @@ def _divide_by_form(p: Polynomial, form: Polynomial) -> Polynomial:
         raise ValueError(f"divisor must be a linear form in t with a coefficient +-1, got {form}")
     _, lead = max(units)
     sign, sa = form._terms[lead], lead.bit_length() - 1
-    rest = [(m, -c) for m, c in form._terms.items() if m != lead]
-    terms = p._terms
-    if _high(terms) and max(map(_mono_degree, terms)) > MAX_EXPONENT:
+    rest = [(m, -sign * c) for m, c in form._terms.items() if m != lead]  # -s*R
+    terms, wide = p._terms, None
+    if len(rest) == 1:
+        sb = rest[0][0].bit_length() - 1
+        if _high(terms) & (MAX_EXPONENT << sa | MAX_EXPONENT << sb):
+            wide, terms, rest = sb, _widen(terms, sb), [(1 << _WIDE, rest[0][1])]
+    elif len(rest) > 1 and _high(terms) and max(map(_mono_degree, terms)) > MAX_EXPONENT:
         raise MonomialOverflow(f"degree {max(map(_mono_degree, terms))} exceeds {MAX_EXPONENT}")
-    levels: dict = {}
+    # Level e holds s*F_e - s*R*q_e = q_(e-1), each term already times
+    # t_a^(e-1), so it joins the quotient as it is; level 0 ends as s*r.
+    unit, levels = 1 << sa, {}
     for mono, coeff in terms.items():
         e = (mono >> sa) & MAX_EXPONENT
-        levels.setdefault(e, {})[mono - (e << sa)] = coeff
-    # carry holds -R * q_e, then F_e - R * q_e once F_e is added; at e = 0
-    # that is the remainder.
-    quotient: dict = {}
-    carry: dict = {}
-    for e in range(max(levels, default=0), -1, -1):
-        for mono, coeff in levels.get(e, {}).items():
-            carry[mono] = carry.get(mono, 0) + coeff
-        if not e:
-            break
-        step, level, carry = (e - 1) << sa, carry, {}
-        for mono, coeff in level.items():
-            if coeff:
-                coeff *= sign
-                quotient[mono + step] = coeff
-                for rm, rc in rest:
-                    key = mono + rm
-                    carry[key] = carry.get(key, 0) + rc * coeff
-    remainder = {mono: coeff for mono, coeff in carry.items() if coeff}
-    if remainder:
-        raise NotDivisible(Polynomial._make(remainder), Polynomial._make(quotient))
-    return Polynomial._make(quotient)
+        levels.setdefault(e, {})[mono - unit if e else mono] = sign * coeff
+    top = max(levels, default=0)
+    quotient, level = {}, levels.get(top, {})
+    for e in range(top, 0, -1):
+        quotient.update(level)
+        down = unit if e > 1 else 0  # the remainder's terms keep no t_a
+        above, level = level, levels.get(e - 1, {})
+        for rm, rc in rest:
+            step = rm - down
+            for mono, coeff in above.items():
+                key = mono + step
+                nc = level.get(key, 0) + rc * coeff
+                if nc:
+                    level[key] = nc
+                else:
+                    del level[key]
+    remainder = level if sign > 0 else {mono: -coeff for mono, coeff in level.items()}
+    if wide is not None:
+        quotient, remainder = _narrow(quotient, wide), _narrow(remainder, wide)
+    return Polynomial._make(quotient), Polynomial._make(remainder)
 
 
 def _agree_at_diagonal(a: Polynomial, b: Polynomial, i: int, j: int) -> bool:

@@ -34,6 +34,7 @@ from .exactalg import (
     MAX_EXPONENT,
     EqschubError,
     IndexOutOfRange,
+    NotDivisible,
     ParseError,
     Polynomial,
     ratf_sum,
@@ -42,7 +43,7 @@ from .exactalg import (
     _chern_series,
     _coerce,
     _difference_chain,
-    _divide_by_form,
+    _divide,
     _divide_series,
     _interpolate,
     _positivity_witness,
@@ -487,9 +488,9 @@ def structure_constants(lam, mu, shape: GrassmannianShape) -> BasisExpansion:
     weight, so both sums are known when c^nu_{lam',mu} is formed.  The
     divisor is the sum of t_j over lam's pivots less that over nu's
     (`_sigma1_difference`): a nonzero linear form with coefficients +-1,
-    divided out exactly by `_divide_by_form`.  The coefficients come in
-    `shape.partitions()` order, zeros dropped, as `expand_in_basis` of the
-    product gives them.
+    divided out by `_divide`; a remainder raises NotDivisible.  The
+    coefficients come in `shape.partitions()` order, zeros dropped, as
+    `expand_in_basis` of the product gives them.
     """
     lam, mu = _check_partition(lam, shape), _check_partition(mu, shape)
     if lam.weight < mu.weight:
@@ -524,7 +525,10 @@ def structure_constants(lam, mu, shape: GrassmannianShape) -> BasisExpansion:
                     if value:
                         rhs = rhs - value
             if rhs:
-                table[p] = _divide_by_form(rhs, _sigma1_difference(J, partition_to_subset(nu, shape)))
+                q, r = _divide(rhs, _sigma1_difference(J, partition_to_subset(nu, shape)))
+                if r:
+                    raise NotDivisible(r, q)
+                table[p] = q
     table = level[rows[lam]]
     return BasisExpansion(shape, {nu: table[rows[nu]] for nu in partitions if rows[nu] in table})
 

@@ -11,6 +11,7 @@ lambda(I).
 from __future__ import annotations
 
 from itertools import combinations
+from math import prod
 
 from .exactalg import EqschubError, ParseError, Polynomial, t
 
@@ -269,6 +270,14 @@ def ssyt_enumerate(lam, k: int) -> list[tuple[tuple[int, ...], ...]]:
     if k < 0:
         raise ValueError("entry bound must be nonnegative")
     return _flagged_tableaux(parts, [k] * sum(parts))
+
+
+def _ssyt_count(lam: Partition, k: int) -> int:
+    """len(ssyt_enumerate(lam, k)) with no tableau built: s_lam(1^k) is the
+    product over the boxes (i, j) of (k + j - i) / hook(i, j)."""
+    boxes = [(i, j, part - j - 1 + sum(p > j for p in lam.parts[i:]))
+             for i, part in enumerate(lam.parts) for j in range(part)]
+    return prod(k + j - i for i, j, _ in boxes) // prod(hook for _, _, hook in boxes)
 
 
 def _flagged_tableaux(parts: tuple[int, ...], tops) -> list[tuple[tuple[int, ...], ...]]:

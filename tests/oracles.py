@@ -22,7 +22,8 @@ token before any syntax.  Class expressions are read by recursive descent
 over the tokens, building each class with the engine's constructors as soon
 as it is read, so that reader checks only the reading.  Structure constants
 come from the engine's former route: `expand_in_basis` of the product of
-the two Schubert classes, with no Chevalley recursion.
+the two Schubert classes, with no Chevalley recursion.  Division by a
+linear form is sympy's `div` in lex order.
 
 The `tuple_*` functions are the polynomial arithmetic in the engine's former
 monomial layout: a tuple of ((rank, index), exponent) pairs sorted by
@@ -166,6 +167,16 @@ def poly_to_sympy(p):
             term *= sympy.Symbol(f"{family}{idx}") ** e
         total += term
     return total
+
+
+def divide_by_sympy(f, form, a: int):
+    """(q, r) with f = q*form + r, as sympy expressions, from sympy's `div`
+    over Z in lex order with t_a first; the form's coefficient at t_a must
+    be +-1, so r is free of t_a."""
+    ta = sympy.Symbol(f"t{a}")
+    f, form = poly_to_sympy(f), poly_to_sympy(form)
+    others = sorted((f.free_symbols | form.free_symbols) - {ta}, key=str)
+    return sympy.div(f, form, ta, *others, domain="ZZ")
 
 
 # ------------------------------------------------------- tuple-layout oracle

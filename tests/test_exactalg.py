@@ -18,7 +18,7 @@ from eqschub.exactalg import (
     elementary_symmetric,
     ratf_sum,
     _agree_at_diagonal,
-    _divide_by_form,
+    _divide,
     t,
     u,
     x,
@@ -26,7 +26,9 @@ from eqschub.exactalg import (
 )
 
 from oracles import (
+    divide_by_sympy,
     parse_by_tokens,
+    poly_to_sympy,
     tuple_add,
     tuple_agree_at_diagonal,
     tuple_divide,
@@ -558,6 +560,14 @@ def linear_forms(draw):
     return sum((c * t(i) for i, c in enumerate(coeffs, 1)), Polynomial.zero()), a
 
 
+def _divide_by_form(p, form):
+    """Exact division by a linear form, as structure_constants divides."""
+    q, r = _divide(p, form)
+    if r:
+        raise NotDivisible(r, q)
+    return q
+
+
 @given(polys(max_terms=6), linear_forms())
 @settings(max_examples=80, deadline=None)
 def test_divide_by_form_round_trip(f, form):
@@ -607,6 +617,38 @@ def test_divide_by_form_near_the_exponent_bound():
     assert _divide_by_form(big * form, form) == big
     with pytest.raises(MonomialOverflow):
         _divide_by_form(t(2) ** 40000 * t(1) ** 30000, form)
+
+
+@given(polys(max_terms=6), linear_forms())
+@settings(max_examples=80, deadline=None)
+def test_divide_matches_sympy_division(f, form):
+    # Mostly no multiple of the form: the remainder is free of the lead
+    # variable, the largest t_a with coefficient +-1, as sympy leaves it.
+    import sympy
+
+    form, _ = form
+    coeffs = {i: form.substitute({("t", j): int(j == i) for j in range(1, 6)}).constant_term()
+              for i in range(1, 6)}
+    a = max(i for i, c in coeffs.items() if c in (1, -1))
+    q, r = _divide(f, form)
+    assert ("t", a) not in r.variables()
+    oracle_q, oracle_r = divide_by_sympy(f, form, a)
+    assert sympy.expand(poly_to_sympy(q) - oracle_q) == 0
+    assert sympy.expand(poly_to_sympy(r) - oracle_r) == 0
+
+
+def test_divide_one_other_variable_near_the_exponent_bound():
+    # A form s*t_a + c*t_b widens t_b's field as a weight does: the exact
+    # result decides, not the dividend's degree.
+    for form, c in ((t(2) - 3 * t(1), 3), (t(1) + t(2), -1)):
+        assert _divide(t(2) * t(1) ** (MAX_EXPONENT - 1), form) == (
+            t(1) ** (MAX_EXPONENT - 1), c * t(1) ** MAX_EXPONENT)
+        big = t(1) ** 40000 * t(3) ** 30000  # degree above MAX_EXPONENT
+        assert _divide(t(2) ** 2 * big, form) == ((t(2) + c * t(1)) * big, c ** 2 * t(1) ** 2 * big)
+        assert _divide(big * form, form) == (big, 0)
+        for p in (t(2) * t(1) ** MAX_EXPONENT, t(2) ** 40000 * t(1) ** 30000):
+            with pytest.raises(MonomialOverflow):
+                _divide(p, form)
 
 
 @given(polys(), polys())

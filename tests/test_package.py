@@ -61,6 +61,19 @@ def test_one_public_name_per_job():
     assert callable(eqschub.exactalg.Polynomial.exact_divide)
 
 
+def test_exactalg_has_one_synthetic_division():
+    # Weights and the linear forms of the Chevalley recursion share one
+    # kernel, _divide: the weight method only checks its divisor and calls
+    # it, and the form routine of the recursion is gone.
+    import eqschub.exactalg
+    import eqschub.gkmgrass
+
+    assert "_divide_by_form" not in vars(eqschub.exactalg) | vars(eqschub.gkmgrass)
+    method = eqschub.exactalg.Polynomial.divide_with_remainder
+    assert set(method.__code__.co_names) == {"_weight_indices", "_divide"}
+    assert eqschub.gkmgrass._divide is eqschub.exactalg._divide
+
+
 def test_polynomial_text_has_one_reader():
     # Polynomial.parse matches whole terms; the token reader is only a test
     # oracle, in tests/oracles.py.

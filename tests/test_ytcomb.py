@@ -15,6 +15,7 @@ from eqschub.ytcomb import (
     ssyt_enumerate,
     subset_to_partition,
     tangent_weights,
+    _ssyt_count,
 )
 
 
@@ -134,6 +135,23 @@ def test_ssyt_order_matches_brute_force():
 
 def test_ssyt_of_more_boxes_than_the_recursion_limit():
     assert ssyt_enumerate((1000,), 1) == [((1,) * 1000,)]
+
+
+def test_ssyt_count_matches_enumeration():
+    # The hook-content formula against the tableaux themselves, zero counts
+    # (more rows than entries) included.
+    def partitions(n, largest):
+        if not n:
+            yield ()
+        for part in range(min(n, largest), 0, -1):
+            for rest in partitions(n - part, part):
+                yield (part,) + rest
+
+    for n in range(9):
+        for lam in partitions(n, n):
+            for k in range(6):
+                assert _ssyt_count(Partition(lam), k) == len(ssyt_enumerate(lam, k)), (lam, k)
+    assert _ssyt_count(Partition((5, 5, 5)), 6) == 14112
 
 
 
