@@ -50,7 +50,7 @@ VERIFY_FAILURE = 2
 # variables, and, when it builds classes over all fixed points, at most
 # MAX_FIXED_POINTS of them; `gkm-check --class` builds no class of degree D
 # with C(n + D, D) > MAX_INTEGRAL_TERMS, and `schur` no tableau sum of more
-# terms.  Each refuses before it builds anything; the library has no bound.
+# terms.  Each refuses before it builds anything; the library API has none.
 MAX_FIXED_POINTS = 10_000
 
 

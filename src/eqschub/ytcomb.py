@@ -273,11 +273,13 @@ def ssyt_enumerate(lam, k: int) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def _ssyt_count(lam: Partition, k: int) -> int:
-    """len(ssyt_enumerate(lam, k)) with no tableau built: s_lam(1^k) is the
-    product over the boxes (i, j) of (k + j - i) / hook(i, j)."""
-    boxes = [(i, j, part - j - 1 + sum(p > j for p in lam.parts[i:]))
-             for i, part in enumerate(lam.parts) for j in range(part)]
-    return prod(k + j - i for i, j, _ in boxes) // prod(hook for _, _, hook in boxes)
+    """len(ssyt_enumerate(lam, k)) with no tableau built: s_lam(1^k), by
+    Weyl's dimension formula the product over 1 <= i < j <= k of
+    (lam_i - lam_j + j - i) / (j - i), so k(k - 1)/2 factors for any size."""
+    if len(lam.parts) > k:
+        return 0
+    rows, pairs = lam.padded(k), list(combinations(range(k), 2))
+    return prod(rows[i] - rows[j] + j - i for i, j in pairs) // prod(j - i for i, j in pairs)
 
 
 def _flagged_tableaux(parts: tuple[int, ...], tops) -> list[tuple[tuple[int, ...], ...]]:

@@ -316,8 +316,8 @@ def test_class_json_refusal_text(tmp_path, capsys, restrictions, error):
      "at most 1000000 terms are accepted"),
 ], ids=["gr-20-40", "n-above-32", "too-many-points", "schur-restrict", "huge-exponent",
         "deep-nesting", "schur-long-row", "schur-many-terms", "power-then-trailing",
-        "power-then-zeta", "digit-run", "s-token-digit-run", "class-shape-digit-run", "lr-digit-run",
-        "schur-restrict-to-digit-run", "long-bad-partition", "huge-integral",
+        "power-then-zeta", "digit-run", "s-token-digit-run", "class-shape-digit-run",
+        "lr-digit-run", "schur-restrict-to-digit-run", "long-bad-partition", "huge-integral",
         "huge-class", "zero-times-huge-class"])
 def test_cli_refuses_oversized_input_quickly(capsys, argv, error):
     """C(40, 20) is about 1.4e11 points, C(16, 8) = 12,870 is above 10,000,
@@ -326,12 +326,13 @@ def test_cli_refuses_oversized_input_quickly(capsys, argv, error):
     boxes would sum 2^33 tableau products before it reached u33, the row of
     30 would print 2^30 terms, two expressions would build s1^120 before
     their fault, the integer or the partition part has more digits than
-    int() reads, the bad partition is quoted in 12 characters, the integral of s1^60000 on Gr(2,4) has
-    degree up to 60000 - 4 in t1..t4, and `gkm-check` would build s1^60000,
-    even to multiply it by 0: each is refused before any class or tableau
-    is built.  The 10 s limit is enforced during the call by an
-    interval timer, so a refusal that hangs fails instead of stalling the
-    run; pytest.fail raises past main's handlers of domain errors."""
+    int() reads, the bad partition is quoted in 12 characters, the integral
+    of s1^60000 on Gr(2,4) has degree up to 60000 - 4 in t1..t4, and
+    `gkm-check` would build s1^60000, even to multiply it by 0: each is
+    refused before any class or tableau is built.  The 10 s limit is
+    enforced during the call by an interval timer, so a refusal that hangs
+    fails instead of stalling the run; pytest.fail raises past main's
+    handlers of domain errors."""
 
     def hung(signum, frame):
         pytest.fail(f"{argv} still running after 10 s")

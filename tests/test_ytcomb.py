@@ -138,7 +138,7 @@ def test_ssyt_of_more_boxes_than_the_recursion_limit():
 
 
 def test_ssyt_count_matches_enumeration():
-    # The hook-content formula against the tableaux themselves, zero counts
+    # Weyl's dimension formula against the tableaux themselves, zero counts
     # (more rows than entries) included.
     def partitions(n, largest):
         if not n:
@@ -152,6 +152,7 @@ def test_ssyt_count_matches_enumeration():
             for k in range(6):
                 assert _ssyt_count(Partition(lam), k) == len(ssyt_enumerate(lam, k)), (lam, k)
     assert _ssyt_count(Partition((5, 5, 5)), 6) == 14112
+    assert _ssyt_count(Partition((10 ** 6,)), 2) == 10 ** 6 + 1  # k(k - 1)/2 factors, for any size
 
 
 
