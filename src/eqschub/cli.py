@@ -25,7 +25,7 @@ from math import comb
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from .exactalg import MAX_INDEX, EqschubError, ParseError, u, x
+from .exactalg import MAX_INDEX, EqschubError, ParseError
 from .gkmgrass import (
     MAX_INTEGRAL_TERMS,
     EqClass,
@@ -87,28 +87,29 @@ def _shape_from(args) -> GrassmannianShape:
 
 
 def _cmd_schur(args) -> int:
-    from .dschur import double_schur, ordinary_schur, restrict_schur
+    from .dschur import _SCHUR_FACTORS, _check_schur, double_schur, ordinary_schur, restrict_schur
 
-    lam, k = _parse_partition(args.shape), args.k
+    lam = _parse_partition(args.shape)
     ordinary = args.ordinary and args.restrict_to is None
     if args.restrict_to is not None:
         if args.n is None:
             raise EqschubError("--restrict-to needs --n")
-        mu, shape = _parse_partition(args.restrict_to), _indexed_shape(args)
+        mu = _parse_partition(args.restrict_to)
+        shape = _indexed_shape(args)
         lam = _check_partition(lam, shape)
-    elif lam.parts:  # dschur's first check, of the top indices, before the size bound
-        x(k) if ordinary else x(k) - u(k + lam.parts[0] - lam.parts.count(lam.parts[0]))
+    else:  # dschur's refusals of rows and indices come before the size bound
+        _check_schur(lam, args.k, _SCHUR_FACTORS[ordinary])
     # A tableau's product has one factor per box, of two terms unless ordinary.
-    terms = _ssyt_count(lam, k) << (0 if ordinary else lam.weight)
+    terms = _ssyt_count(lam, args.k) << (0 if ordinary else lam.weight)
     if terms > MAX_INTEGRAL_TERMS:
         raise EqschubError(f"the tableau sum may form {terms} terms; "
                            f"at most {MAX_INTEGRAL_TERMS} terms are accepted")
     if args.restrict_to is not None:
         poly = restrict_schur(lam, mu, shape)
-    elif ordinary:
-        poly = ordinary_schur(lam, k)
+    elif args.ordinary:
+        poly = ordinary_schur(lam, args.k)
     else:
-        poly = double_schur(lam, k)
+        poly = double_schur(lam, args.k)
     if args.json:
         _emit(_json_text({"shape": list(lam.parts), "k": args.k, "poly": str(poly)}), args)
     else:

@@ -50,16 +50,25 @@ def _tableau_sum(tableaux, factor) -> Polynomial:
     return total
 
 
-def _schur_sum(lam: Partition, k: int, factor) -> Polynomial:
-    """The tableau sum over every SSYT with entries <= k."""
+def _check_schur(lam: Partition, k: int, factor) -> None:
+    """Refuse the tableau sum over entries <= k before any tableau is built."""
     if len(lam.parts) > k:
         raise TooManyRows(f"{lam} has more than {k} rows")
     # Entries reach k, and s + j - i reaches k + lam_1 - (the number of rows
     # of length lam_1): the factor there raises MonomialOverflow for an index
-    # above MAX_INDEX before any tableau is enumerated.
+    # above MAX_INDEX.
     if lam.parts:
         factor(k, k + lam.parts[0] - lam.parts.count(lam.parts[0]))
+
+
+def _schur_sum(lam: Partition, k: int, factor) -> Polynomial:
+    """The tableau sum over every SSYT with entries <= k."""
+    _check_schur(lam, k, factor)
     return _tableau_sum(ssyt_enumerate(lam, k), factor)
+
+
+# The box factor of double_schur, and of ordinary_schur, by `ordinary`.
+_SCHUR_FACTORS = {False: lambda s, a: x(s) - u(a), True: lambda s, a: x(s)}
 
 
 def double_schur(lam, k: int) -> Polynomial:
@@ -69,7 +78,7 @@ def double_schur(lam, k: int) -> Polynomial:
     when every u variable is set to zero; the test suite checks both facts
     rather than assuming them here.
     """
-    return _schur_sum(Partition.of(lam), k, lambda s, a: x(s) - u(a))
+    return _schur_sum(Partition.of(lam), k, _SCHUR_FACTORS[False])
 
 
 def restrict_schur(lam, mu, shape: GrassmannianShape) -> Polynomial:
@@ -129,7 +138,7 @@ def _restricted_tables(shape: GrassmannianShape):
 
 def ordinary_schur(lam, k: int) -> Polynomial:
     """The double Schur polynomial at u = 0: the tableau sum of prod x_s."""
-    return _schur_sum(Partition.of(lam), k, lambda s, a: x(s))
+    return _schur_sum(Partition.of(lam), k, _SCHUR_FACTORS[True])
 
 
 def _flagged_sum(lam: Partition, mu: Partition, rows, cols) -> Polynomial:

@@ -393,8 +393,7 @@ class Polynomial:
         `_divide`: r is self with t_a set to t_b, so it is zero exactly when
         the weight divides self.
         """
-        _weight_indices(divisor)
-        return _divide(self, divisor)
+        return _divide(self, divisor, _weight_indices(divisor))
 
     def exact_divide(self, divisor: PolyLike) -> "Polynomial":
         """Return q with q * divisor == self, or raise NotDivisible."""
@@ -510,30 +509,32 @@ def _weight_indices(divisor) -> tuple[int, int, int]:
     raise ValueError(f"divisor must be a weight t_a - t_b, got {divisor}")
 
 
-def _divide(p: Polynomial, form: Polynomial) -> tuple[Polynomial, Polynomial]:
+def _divide(p: Polynomial, form, weight=None) -> tuple[Polynomial, Polynomial]:
     """The unique (q, r) with p = q*form + r and r free of t_a, for a linear
-    form in t with coefficient s = +-1 at t_a, a as large as it can be.
+    form s*t_a + R in t, s = +-1 and a as large as it can be; zero raises
+    ZeroDivisionError and any other form ValueError.  `weight` is the
+    (a, b, s) of a form s*(t_a - t_b) already read by `_weight_indices`.
 
-    Write the form as s*t_a + R and p as sum_e F_e t_a^e.  Synthetic division
-    in t_a gives q's coefficient of t_a^(e-1) as s*(F_e - R*q_e), from the
-    top e down, and r = F_0 - R*q_0; for a weight s*(t_a - t_b), r is p with
-    t_a set to t_b.  If R is c*t_b, t_b's field is widened while p has an
-    exponent of 2^15 or more there or at t_a, and MonomialOverflow is raised
-    when a t_b exponent of q or r passes MAX_EXPONENT.  With more terms in
-    R, each step adds at most 1 to the other fields, so MonomialOverflow is
-    raised up front only when p has such an exponent and a total degree
-    above MAX_EXPONENT.  Any other divisor raises ValueError, and zero
-    ZeroDivisionError.
+    Synthetic division in t_a: with p = sum_e F_e t_a^e, q's coefficient of
+    t_a^(e-1) is s*(F_e - R*q_e), from the top e down, and r = F_0 - R*q_0.
+    If R is c*t_b, t_b's field is widened while p has an exponent of 2^15 or
+    more there or at t_a, and only an exponent of q or r above MAX_EXPONENT
+    raises MonomialOverflow.  With more terms in R, each step adds at most 1
+    to the other fields, so MonomialOverflow is raised up front only when p
+    has such an exponent and a total degree above MAX_EXPONENT.
     """
-    if not form:
-        raise ZeroDivisionError("division by the zero polynomial")
-    indices = {m: _t_index(m) for m in form._terms}
-    units = [(i, m) for m, i in indices.items() if i and form._terms[m] in (1, -1)]
-    if not all(indices.values()) or not units:
-        raise ValueError(f"divisor must be a linear form in t with a coefficient +-1, got {form}")
-    _, lead = max(units)
-    sign, sa = form._terms[lead], lead.bit_length() - 1
-    rest = [(m, -sign * c) for m, c in form._terms.items() if m != lead]  # -s*R
+    if weight:  # -s*R is t_b
+        sa, sign, rest = _shift(_T, weight[0]), weight[2], [(1 << _shift(_T, weight[1]), 1)]
+    else:
+        if not form:
+            raise ZeroDivisionError("division by the zero polynomial")
+        indices = {m: _t_index(m) for m in form._terms}
+        units = [(i, m) for m, i in indices.items() if i and form._terms[m] in (1, -1)]
+        if not all(indices.values()) or not units:
+            raise ValueError(f"divisor must be a linear form in t with a coefficient +-1, got {form}")
+        _, lead = max(units)
+        sign, sa = form._terms[lead], lead.bit_length() - 1
+        rest = [(m, -sign * c) for m, c in form._terms.items() if m != lead]  # -s*R
     terms, wide = p._terms, None
     if len(rest) == 1:
         sb = rest[0][0].bit_length() - 1

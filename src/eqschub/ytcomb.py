@@ -11,7 +11,6 @@ lambda(I).
 from __future__ import annotations
 
 from itertools import combinations
-from math import prod
 
 from .exactalg import EqschubError, ParseError, Polynomial, t
 
@@ -273,13 +272,14 @@ def ssyt_enumerate(lam, k: int) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def _ssyt_count(lam: Partition, k: int) -> int:
-    """len(ssyt_enumerate(lam, k)) with no tableau built: s_lam(1^k), by
-    Weyl's dimension formula the product over 1 <= i < j <= k of
-    (lam_i - lam_j + j - i) / (j - i), so k(k - 1)/2 factors for any size."""
-    if len(lam.parts) > k:
-        return 0
-    rows, pairs = lam.padded(k), list(combinations(range(k), 2))
-    return prod(rows[i] - rows[j] + j - i for i, j in pairs) // prod(j - i for i, j in pairs)
+    """len(ssyt_enumerate(lam, k)) with no tableau built: s_lam(1^k) by Weyl's
+    dimension formula, the product over i < j <= k of (lam_i - lam_j + j - i)
+    / (j - i), for i a row of lam alone, as two zero rows give 1."""
+    rows, num, den = lam.parts, 1, 1
+    for i, row in enumerate(rows):
+        for j in range(i + 1, k):
+            num, den = num * (row - (rows[j] if j < len(rows) else 0) + j - i), den * (j - i)
+    return num // den if len(rows) <= k else 0
 
 
 def _flagged_tableaux(parts: tuple[int, ...], tops) -> list[tuple[tuple[int, ...], ...]]:

@@ -93,6 +93,26 @@ def test_schur_empty_shape(capsys):
     code, out, _ = run_cli(capsys, "schur", "--shape", "0", "--k", "3")
     assert code == 0
     assert out == "1\n"
+    # One tableau for any k, counted without a factor per pair of rows.
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "schur", "--shape", "0", "--k", "100000")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert out == "1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--shape", "1,1", "--k", "1"),
+    ("--shape", "1,1", "--k", "1", "--ordinary"),
+    ("--shape", "1", "--k", "0"),
+    ("--shape", "40,1", "--k", "1"),
+])
+def test_schur_refuses_more_rows_than_k(capsys, argv):
+    """The row count is checked before the indices and the size bound."""
+    code, out, err = run_cli(capsys, "schur", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"eqschub: error: {argv[1]} has more than {argv[3]} rows\n"
 
 
 def test_schur_restrict(capsys):

@@ -152,7 +152,8 @@ def test_ssyt_count_matches_enumeration():
             for k in range(6):
                 assert _ssyt_count(Partition(lam), k) == len(ssyt_enumerate(lam, k)), (lam, k)
     assert _ssyt_count(Partition((5, 5, 5)), 6) == 14112
-    assert _ssyt_count(Partition((10 ** 6,)), 2) == 10 ** 6 + 1  # k(k - 1)/2 factors, for any size
+    assert _ssyt_count(Partition((10 ** 6,)), 2) == 10 ** 6 + 1  # for any size
+    assert _ssyt_count(Partition(()), 10 ** 9) == 1  # pairs of zero rows are not formed
 
 
 
