@@ -2,8 +2,11 @@
 branching table and one bialternant.
 
 Each of five values is a sum over semistandard tableaux, from the one
-backtracking of `ytcomb`, of a product of one linear factor per box.  Over
-every tableau with entries <= k, the double Schur polynomial takes
+backtracking of `ytcomb`, of a product of one linear factor per box, a
+variable or a difference of two.  `_tableau_sum` takes each factor as the
+monomials of its variables and multiplies a term's dict by it directly, so
+no Polynomial is built per box.  Over every tableau with entries <= k, the
+double Schur polynomial takes
 x_s - u_a, the ordinary one x_s, and the restriction to a fixed point of
 Gr(k, n) t_{n+1-a} - t_{i_s}, with no substitution; `_restricted_tables`
 builds all of a point's restrictions at once by the branching rule.  Over
@@ -18,7 +21,15 @@ from __future__ import annotations
 from itertools import combinations
 from math import prod
 
-from .exactalg import EqschubError, Polynomial, t, u, x
+from .exactalg import (
+    MAX_EXPONENT,
+    EqschubError,
+    Polynomial,
+    t,
+    _ONE,
+    _check_product,
+    _monomial,
+)
 from .ytcomb import (
     GrassmannianShape,
     Partition,
@@ -33,21 +44,49 @@ class TooManyRows(EqschubError):
     """The partition has more rows than there are x variables."""
 
 
+def _merge(target: dict, terms: dict, shift: int, sign: int) -> None:
+    """Add sign times terms, each monomial times the monomial shift, into
+    target, dropping the terms that cancel."""
+    for m, c in terms.items():
+        m += shift
+        c = target.get(m, 0) + sign * c
+        if c:
+            target[m] = c
+        else:
+            del target[m]
+
+
 def _tableau_sum(tableaux, factor) -> Polynomial:
     """Sum over the tableaux of prod factor(s, s + j - i).
 
     Each tableau is its tuple of rows.  Box coordinates (i, j) are 1-indexed
     matrix style and s is the entry of the box; column strictness keeps the
-    second index s + j - i >= 1.
+    second index s + j - i >= 1.  factor(s, a) gives the monomials (plus,
+    minus) of the box's binomial plus - minus, or (plus, None) for the one
+    variable plus.  The product by it sends each term (m, c) to m + plus with
+    c and m + minus with -c in a fresh dict, so no Polynomial is built per
+    box, and each tableau's product adds into one sum.  An exponent grows by
+    at most 1 per box, so only a box past the MAX_EXPONENT-th is checked for
+    overflow, as a product would be.
     """
-    total = Polynomial.zero()
+    total = None
     for rows in tableaux:
-        term = Polynomial.one()
+        term, count = {_ONE: 1}, 0
         for i, row in enumerate(rows, start=1):
             for j, s in enumerate(row, start=1):
-                term = term * factor(s, s + j - i)
-        total = total + term
-    return total
+                plus, minus = factor(s, s + j - i)
+                count += 1
+                if count > MAX_EXPONENT and term and plus != minus:
+                    _check_product(term, {plus: 1} if minus is None else {plus: 1, minus: -1})
+                out = {m + plus: c for m, c in term.items()}
+                if minus is not None:
+                    _merge(out, term, minus, -1)
+                term = out
+        if total is None:
+            total = term
+        else:
+            _merge(total, term, _ONE, 1)
+    return Polynomial._make(total or {})
 
 
 def _check_schur(lam: Partition, k: int, factor) -> None:
@@ -68,7 +107,8 @@ def _schur_sum(lam: Partition, k: int, factor) -> Polynomial:
 
 
 # The box factor of double_schur, and of ordinary_schur, by `ordinary`.
-_SCHUR_FACTORS = {False: lambda s, a: x(s) - u(a), True: lambda s, a: x(s)}
+_SCHUR_FACTORS = {False: lambda s, a: (_monomial("x", s), _monomial("u", a)),
+                  True: lambda s, a: (_monomial("x", s), None)}
 
 
 def double_schur(lam, k: int) -> Polynomial:
@@ -90,7 +130,8 @@ def restrict_schur(lam, mu, shape: GrassmannianShape) -> Polynomial:
     """
     lam = _check_partition(lam, shape)
     pivots = partition_to_subset(mu, shape).elements
-    return _schur_sum(lam, shape.k, lambda s, a: t(shape.n + 1 - a) - t(pivots[s - 1]))
+    return _schur_sum(lam, shape.k,
+                      lambda s, a: (_monomial("t", shape.n + 1 - a), _monomial("t", pivots[s - 1])))
 
 
 def _restricted_tables(shape: GrassmannianShape):
@@ -157,7 +198,7 @@ def _flagged_sum(lam: Partition, mu: Partition, rows, cols) -> Polynomial:
     tops = [sum(m - s >= j - i for s, m in enumerate(mu.parts, start=1))
             for i, width in enumerate(lam.parts, start=1) for j in range(1, width + 1)]
     return _tableau_sum(_flagged_tableaux(lam.parts, tops),
-                        lambda s, a: t(cols[a - 1]) - t(rows[s - 1]))
+                        lambda s, a: (_monomial("t", cols[a - 1]), _monomial("t", rows[s - 1])))
 
 
 def _bialternant(parts: tuple[int, ...], pivots: tuple[int, ...], point) -> int:

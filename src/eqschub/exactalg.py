@@ -3,7 +3,9 @@
 The one value type is `Polynomial`: a multivariate polynomial with arbitrary
 precision integer coefficients over the named variable families t, x, u, y;
 `Polynomial.parse` reads back the text `str` writes, one pattern match per
-term.  There is one division: synthetic division by a linear form in t
+term.  There is one writer, `_render`, for a polynomial alone and for every
+restriction of a class, which shares one dict of factor texts across them.
+There is one division: synthetic division by a linear form in t
 with a coefficient +-1, which leaves a remainder free of that variable.
 The public `divide_with_remainder` and `exact_divide` take only a torus
 weight t_a - t_b, itself a Polynomial; the structure constants also divide
@@ -20,7 +22,9 @@ tautological and Kempf-Laksov classes: multiplying by 1 +- t_a and dividing
 by 1 + t_a each add t_a's field to the monomials of one degree to form the
 next.  A polynomial in t of bounded degree can also be rebuilt from its
 integer values on a lattice, by Newton's forward differences.  No other
-module reads or writes a monomial's fields.  All values are
+module reads a monomial's fields; `dschur`'s tableau sum, the one other
+writer, multiplies by a variable by adding the monomial `_monomial` gives
+it, and leaves an overflow to `_check_product`.  All values are
 immutable and every operation is a pure function, so the whole module is
 safe for unrestricted concurrent use.
 """
@@ -103,6 +107,15 @@ def _shift(rank: int, index: int) -> int:
     if index > MAX_INDEX:
         raise MonomialOverflow(f"variable {FAMILIES[rank]}{index}: indices go up to {MAX_INDEX}")
     return (rank * MAX_INDEX + index - 1) * _BITS
+
+
+def _monomial(family: str, index: int) -> int:
+    """The monomial of one variable: the lowest bit of its field."""
+    if family not in _RANK:
+        raise ValueError(f"unknown variable family {family!r}")
+    if index < 1:
+        raise ValueError(f"variable index must be >= 1, got {index}")
+    return 1 << _shift(_RANK[family], index)
 
 
 def _exponents(mono: int) -> tuple[int, ...]:
@@ -197,11 +210,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, family: str, index: int) -> "Polynomial":
-        if family not in _RANK:
-            raise ValueError(f"unknown variable family {family!r}")
-        if index < 1:
-            raise ValueError(f"variable index must be >= 1, got {index}")
-        return cls._make({1 << _shift(_RANK[family], index): 1})
+        return cls._make({_monomial(family, index): 1})
 
     def items(self):
         """Iterate (monomial, coefficient) pairs; a monomial is a packed int
@@ -403,21 +412,7 @@ class Polynomial:
         return q
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        rows = []
-        for mono, coeff in self._terms.items():
-            exps = _exponents(mono)
-            rows.append((sum(exps), mono, exps, coeff))
-        rows.sort(reverse=True)  # graded lex; (degree, mono) is unique
-        pieces = []
-        for _, _, exps, coeff in rows:
-            body = _render_term(exps, abs(coeff))
-            if not pieces:
-                pieces.append(("-" if coeff < 0 else "") + body)
-            else:
-                pieces.append((" - " if coeff < 0 else " + ") + body)
-        return "".join(pieces)
+        return _render(self, {})
 
     def __repr__(self) -> str:
         return f"Polynomial({str(self)!r})"
@@ -463,13 +458,39 @@ class Polynomial:
         return cls(out)
 
 
-def _render_term(exps, coeff_abs: int) -> str:
-    factors = [_NAMES[slot] if e == 1 else f"{_NAMES[slot]}^{e}" for slot, e in enumerate(exps) if e]
-    if not factors:
-        return str(coeff_abs)
-    if coeff_abs == 1:
-        return "*".join(factors)
-    return str(coeff_abs) + "*" + "*".join(factors)
+def _render(p: Polynomial, bodies: dict) -> str:
+    """Canonical text: terms by total degree, then monomial, both descending,
+    each its coefficient's sign and magnitude (left out when it is 1 and the
+    term is not constant) and its factors.
+
+    bodies maps a monomial to the text of its factors and is filled here, so
+    the restrictions of one class, which share many monomials, pass one dict.
+    Both sorts are by C-level keys: the monomials descending, then, stably,
+    their degrees descending, read as m % MAX_EXPONENT, which is the total
+    degree of m while that is below MAX_EXPONENT; the sum of the fields of
+    the OR of all monomials bounds every total degree, and where it reaches
+    MAX_EXPONENT the degrees are summed field by field.
+    """
+    terms = p._terms
+    if not terms:
+        return "0"
+    order = sorted(terms, reverse=True)
+    exact = _mono_degree(reduce(or_, order)) >= MAX_EXPONENT
+    order.sort(key=_mono_degree if exact else MAX_EXPONENT.__rmod__, reverse=True)
+    pieces = []
+    append = pieces.append
+    for m, c, body in zip(order, map(terms.__getitem__, order), map(bodies.get, order)):
+        if body is None:
+            body = bodies[m] = "*".join([_NAMES[slot] if e == 1 else f"{_NAMES[slot]}^{e}"
+                                         for slot, e in enumerate(_exponents(m)) if e])
+        if c < 0:
+            append(" - ")
+            c = -c
+        else:
+            append(" + ")
+        append(f"{c}*{body}" if c != 1 and m else body or str(c))
+    pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)
 
 
 def _coerce(value):

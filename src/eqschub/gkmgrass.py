@@ -47,6 +47,7 @@ from .exactalg import (
     _divide_series,
     _interpolate,
     _positivity_witness,
+    _render,
     _top_degree_value,
     _weight_indices,
 )
@@ -204,10 +205,15 @@ class EqClass:
             result = result * self
         return result
 
+    def _texts(self) -> list[tuple[PivotSubset, str]]:
+        """(I, canonical text of the restriction at I) for every pivot subset,
+        rendered with one dict of factor texts across the restrictions."""
+        bodies: dict = {}
+        zero, values = Polynomial.zero(), self._restrictions
+        return [(I, _render(values.get(I, zero), bodies)) for I in self.shape.subsets()]
+
     def to_json_dict(self) -> dict:
-        restrictions = {
-            str(I): str(self.restriction(I)) for I in self.shape.subsets()
-        }
+        restrictions = {str(I): text for I, text in self._texts()}
         return {"n": self.shape.n, "k": self.shape.k, "restrictions": restrictions}
 
     @classmethod
@@ -244,8 +250,7 @@ class EqClass:
         return cls(shape, restrictions)
 
     def __str__(self) -> str:
-        lines = [f"{I}: {self.restriction(I)}" for I in self.shape.subsets()]
-        return "\n".join(lines)
+        return "\n".join(f"{I}: {text}" for I, text in self._texts())
 
     def __repr__(self) -> str:
         return f"EqClass(Gr({self.shape.k},{self.shape.n}), {len(self._restrictions)} nonzero)"

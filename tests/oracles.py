@@ -5,8 +5,9 @@ the end, nothing here calls the engine's class construction: the LR counter
 is a direct backtracking enumeration of skew tableaux, the bialternant Schur
 polynomial goes through sympy, and the fixed-point restriction substitutes
 into an expanded polynomial with the generic arithmetic of `exactalg`.
-Schubert classes come from the semistandard tableau sum `restrict_schur` at
-every point, and opposite classes from those by reflecting the subsets and
+Schubert classes come from the semistandard tableau sum of `restrict_schur`
+at every point, taken with one generic product per box as the engine once
+did, and opposite classes from those by reflecting the subsets and
 substituting t_i -> t_{n+1-i}.  Excited Young diagrams come from a search
 over excited moves on sets of boxes, not from the flagged tableaux that
 the engine sums.  The moment-graph test divides each edge's
@@ -57,8 +58,9 @@ from eqschub.exactalg import (
     _shift,
     _variable,
     t,
+    u,
+    x,
 )
-from eqschub.dschur import restrict_schur
 from eqschub.gkmgrass import (
     BasisExpansion,
     EqClass,
@@ -71,7 +73,14 @@ from eqschub.gkmgrass import (
     projective_zeta,
     schubert_class,
 )
-from eqschub.ytcomb import Partition, _parse_partition, subset_to_partition
+from eqschub.ytcomb import (
+    Partition,
+    _check_partition,
+    _parse_partition,
+    partition_to_subset,
+    ssyt_enumerate,
+    subset_to_partition,
+)
 
 
 def lr_coefficient(lam, mu, nu) -> int:
@@ -357,12 +366,45 @@ def excited_diagrams(lam, mu) -> set[frozenset]:
     return seen
 
 
+def tableau_sum_by_products(tableaux, factor) -> Polynomial:
+    """Sum over the tableaux, each its tuple of rows, of the product of
+    factor(s, s + j - i) over its boxes (i, j) holding s, one generic
+    Polynomial product per box and one generic sum per tableau: the engine's
+    former tableau sum, whose factor gave a Polynomial."""
+    total = Polynomial.zero()
+    for rows in tableaux:
+        term = Polynomial.one()
+        for i, row in enumerate(rows, start=1):
+            for j, s in enumerate(row, start=1):
+                term = term * factor(s, s + j - i)
+        total = total + term
+    return total
+
+
+def double_schur_by_products(lam, k: int) -> Polynomial:
+    """The tableau sum of prod (x_s - u_{s+j-i}) over SSYT with entries <= k."""
+    return tableau_sum_by_products(ssyt_enumerate(lam, k), lambda s, a: x(s) - u(a))
+
+
+def ordinary_schur_by_products(lam, k: int) -> Polynomial:
+    """The tableau sum of prod x_s over SSYT with entries <= k."""
+    return tableau_sum_by_products(ssyt_enumerate(lam, k), lambda s, a: x(s))
+
+
+def restrict_schur_by_products(lam, mu, shape) -> Polynomial:
+    """The tableau sum of prod (t_{n+1-a} - t_{i_s}) over SSYT with entries
+    <= k, i the pivot subset of mu: `restrict_schur` by generic products."""
+    pivots = partition_to_subset(mu, shape).elements
+    return tableau_sum_by_products(ssyt_enumerate(_check_partition(lam, shape), shape.k),
+                                   lambda s, a: t(shape.n + 1 - a) - t(pivots[s - 1]))
+
+
 @lru_cache(maxsize=None)
 def schubert_by_tableau_sum(lam, shape) -> EqClass:
     """The Schubert class whose restriction at each point mu is the
-    semistandard tableau sum `restrict_schur(lam, mu)`; cached, so the
-    opposite-class oracle reuses it."""
-    return EqClass(shape, {J: restrict_schur(lam, subset_to_partition(J, shape), shape)
+    semistandard tableau sum `restrict_schur(lam, mu)`, by generic products;
+    cached, so the opposite-class oracle reuses it."""
+    return EqClass(shape, {J: restrict_schur_by_products(lam, subset_to_partition(J, shape), shape)
                            for J in shape.subsets()})
 
 

@@ -141,6 +141,20 @@ def test_schur_of_a_thousand_boxes(capsys):
     assert out == "x1^500*x2^500\n"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("--shape", "70000", "--k", "1", "--ordinary"), "exponent 65536 of x1 exceeds 65535"),
+    (("--shape", "70000", "--k", "1"), "variable u70000: indices go up to 32"),
+])
+def test_schur_row_past_the_exponent_bound(capsys, argv, error):
+    """One tableau of 70,000 boxes: x1 reaches exponent 65,536 at its
+    65,536th box, the text a generic product raised; the double form is
+    refused first by the index of its last u variable."""
+    code, out, err = run_cli(capsys, "schur", *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"eqschub: error: {error}\n"
+
+
 def test_integrate_four_lines(capsys):
     code, out, _ = run_cli(capsys, "integrate", "--n", "4", "--k", "2", "--class", "s1^4")
     assert code == 0

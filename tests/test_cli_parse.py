@@ -178,3 +178,19 @@ def test_well_formed_call_does_not_import_argparse():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+def test_large_command_list_parses():
+    # Each line of tools/large.txt, as the bench tool reads it, is a positive
+    # time budget and a command line that the option table accepts.
+    import importlib.util
+
+    path = Path(__file__).parent.parent / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    entries = bench_pairs.read_large(bench_pairs.LARGE)
+    assert len(entries) == 7
+    for budget, argv in entries:
+        assert budget > 0, argv
+        assert parse_table(argv) is not None, argv

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from eqschub import suites
+from eqschub import gkmgrass, suites
 from eqschub.dschur import (
     TooManyRows,
     _bialternant,
@@ -12,10 +12,20 @@ from eqschub.dschur import (
     restrict_schur,
 )
 from eqschub.exactalg import MonomialOverflow, Polynomial, t, u, x
-from eqschub.gkmgrass import schubert_class
+from eqschub.gkmgrass import opposite_schubert_class, schubert_class
 from eqschub.ytcomb import DoesNotFitBox, GrassmannianShape, subset_to_partition
 
-from oracles import poly_to_sympy, restrict_by_substitution, schur_bialternant, value_at
+from oracles import (
+    double_schur_by_products,
+    ordinary_schur_by_products,
+    poly_to_sympy,
+    restrict_by_substitution,
+    schubert_by_tableau_sum,
+    schur_bialternant,
+    value_at,
+)
+
+UP_TO_N7 = [GrassmannianShape(n, k) for n in range(2, 8) for k in range(1, n)]
 
 
 def _eight_tableau_products() -> Polynomial:
@@ -74,6 +84,55 @@ def test_index_above_limit_is_refused_up_front():
     assert ("u", 32) in double_schur((2,), 31).variables()
     assert ordinary_schur((33,), 1) == x(1) ** 33
     assert double_schur((), 40) == 1
+
+
+def test_row_past_the_exponent_bound_overflows_as_a_product_would():
+    # One tableau of 70,000 boxes x1: the 65,536th box raises the text that
+    # the generic product raised, and 65,535 boxes still fit.
+    with pytest.raises(MonomialOverflow, match=r"^exponent 65536 of x1 exceeds 65535$"):
+        ordinary_schur((70000,), 1)
+    assert ordinary_schur((65535,), 1) == x(1) ** 65535
+
+
+def test_tableau_sums_match_generic_product_oracle():
+    # Every lam in the box of every Gr(k, n) with n <= 7: double_schur and
+    # ordinary_schur in k variables, and restrict_schur at every point,
+    # against the tableau sum with one generic Polynomial product per box in
+    # tests/oracles.py.  The Schubert and opposite classes are checked
+    # against the same oracle in test_gkmgrass.py.
+    for shape in UP_TO_N7:
+        for lam in shape.partitions():
+            assert double_schur(lam, shape.k) == double_schur_by_products(lam, shape.k), (shape, lam)
+            assert ordinary_schur(lam, shape.k) == ordinary_schur_by_products(lam, shape.k), (shape, lam)
+            oracle = schubert_by_tableau_sum(lam, shape)
+            for J in shape.subsets():
+                mu = subset_to_partition(J, shape)
+                assert restrict_schur(lam, mu, shape) == oracle.restriction(J), (shape, lam, mu)
+
+
+def test_tableau_sums_build_no_polynomial_arithmetic(monkeypatch):
+    # Each box's binomial multiplies the term's dict in place, and each
+    # tableau's product adds into one dict: no Polynomial is multiplied,
+    # added or subtracted on the way.
+    shape = GrassmannianShape(6, 3)
+    calls = (
+        lambda: double_schur((2, 1), 3),
+        lambda: ordinary_schur((2, 1), 3),
+        lambda: restrict_schur((2, 1), (3, 2, 1), shape),
+        lambda: restrict_schur((2, 1), (1,), shape),
+        lambda: schubert_class((2, 1), shape),
+        lambda: opposite_schubert_class((2, 1), shape),
+    )
+    monkeypatch.setattr(gkmgrass, "_SCHUBERT_CACHE", {})
+    expected = [call() for call in calls]
+
+    def refuse(*args):
+        raise AssertionError("generic Polynomial arithmetic in a tableau sum")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__"):
+        monkeypatch.setattr(Polynomial, name, refuse)
+    monkeypatch.setattr(gkmgrass, "_SCHUBERT_CACHE", {})
+    assert [call() for call in calls] == expected
 
 
 def test_symmetry_in_x_variables():

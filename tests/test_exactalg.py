@@ -19,6 +19,7 @@ from eqschub.exactalg import (
     ratf_sum,
     _agree_at_diagonal,
     _divide,
+    _render,
     t,
     u,
     x,
@@ -395,14 +396,20 @@ _VARIABLES = st.tuples(st.sampled_from(range(len(FAMILIES))), _INDICES)
 
 
 @st.composite
-def tuple_polys(draw, max_terms=4):
+def tuple_polys(draw, max_terms=4, coeffs=st.integers(-9, 9)):
     """A polynomial in the tuple layout over all four families."""
     terms: dict = {}
     for _ in range(draw(st.integers(0, max_terms))):
         mono = {draw(_VARIABLES): draw(_EXPONENTS) for _ in range(draw(st.integers(0, 3)))}
         key = tuple(sorted(mono.items(), reverse=True))
-        terms = tuple_add(terms, {key: draw(st.integers(-9, 9))})
+        terms = tuple_add(terms, {key: draw(coeffs)})
     return terms
+
+
+# Constants come from monomials with no variable; +-1 is written without a
+# coefficient except on a constant.
+_RENDER_COEFFS = st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9),
+                           st.integers(-10 ** 40, 10 ** 40))
 
 
 def _packed(a: dict) -> Polynomial:
@@ -432,6 +439,33 @@ def test_packed_ring_ops_match_tuple_oracle(a, b):
     else:
         assert tuple_terms(pa * pb) == product
         assert str(pa * pb) == tuple_str(product)
+
+
+@given(st.lists(tuple_polys(max_terms=6, coeffs=_RENDER_COEFFS), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_render_matches_tuple_oracle(polys):
+    # str alone, and several polynomials rendered with one shared dict of
+    # factor texts, as a class renders its restrictions.
+    packed = [_packed(a) for a in polys]
+    assert [str(p) for p in packed] == [tuple_str(a) for a in polys]
+    bodies: dict = {}
+    assert [_render(p, bodies) for p in packed] == [tuple_str(a) for a in polys]
+
+
+@pytest.mark.parametrize("text, canonical", [
+    ("t2 + t1^65535*t3 + t1^40000*t2^40000", "t1^40000*t2^40000 + t1^65535*t3 + t2"),
+    ("t2 + t1^65535", "t1^65535 + t2"),
+    ("t3^2 - 2*t1^65534*t2 + 5", "-2*t1^65534*t2 + t3^2 + 5"),
+    ("x1^65535*y32^65535 - u7 + t1^65535", "x1^65535*y32^65535 + t1^65535 - u7"),
+    ("t1 + 1 - t1^2*t2^65534", "-t1^2*t2^65534 + t1 + 1"),
+    ("t1 - t1^65535 + 3", "-t1^65535 + t1 + 3"),  # the bound is exactly 65535
+])
+def test_render_orders_total_degrees_from_65535_up(text, canonical):
+    # m % 65535 is the total degree of m only below 65535, so where some
+    # degree reaches it the renderer sorts by the exact degree.
+    p = Polynomial.parse(text)
+    assert str(p) == canonical == tuple_str(tuple_terms(p))
+    assert _render(p, {}) == canonical
 
 
 @given(tuple_polys(), st.data())

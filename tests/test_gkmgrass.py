@@ -108,6 +108,25 @@ def test_restrictions_round_trip_through_text():
                 assert Polynomial.parse(str(value)) == value, (shape, lam, I)
 
 
+def test_class_text_is_each_restriction_rendered_alone():
+    # A class renders its restrictions with one shared dict of factor texts;
+    # its JSON and its text must read as if each restriction were rendered
+    # by str on its own.  Every Schubert and opposite class, and the
+    # products sigma_lam * sigma_1, of every Gr(k, n) with n <= 6.
+    for shape in UP_TO_N7:
+        if shape.n > 6:
+            continue
+        sigma1 = schubert_class((1,), shape)
+        for lam in shape.partitions():
+            schubert = schubert_class(lam, shape)
+            for cls in (schubert, opposite_schubert_class(lam, shape), schubert * sigma1):
+                alone = [(str(I), str(cls.restriction(I))) for I in shape.subsets()]
+                data = cls.to_json_dict()
+                assert list(data["restrictions"].items()) == alone, (shape, lam)
+                assert data["n"] == shape.n and data["k"] == shape.k
+                assert str(cls) == "\n".join(f"{I}: {text}" for I, text in alone), (shape, lam)
+
+
 def test_eqclass_shape_mismatch():
     a = constant_class(GR12, 1)
     b = constant_class(GrassmannianShape(3, 1), 1)

@@ -74,6 +74,20 @@ def test_exactalg_has_one_synthetic_division():
     assert eqschub.gkmgrass._divide is eqschub.exactalg._divide
 
 
+def test_canonical_text_has_one_renderer():
+    # Polynomial.__str__ and a class's JSON and text all go through
+    # exactalg._render; the class passes one dict of factor texts across its
+    # restrictions.  The per-term helper is gone.
+    import eqschub.exactalg
+    import eqschub.gkmgrass
+
+    assert "_render_term" not in vars(eqschub.exactalg)
+    assert eqschub.gkmgrass._render is eqschub.exactalg._render
+    assert "_render" in eqschub.exactalg.Polynomial.__str__.__code__.co_names
+    for method in (eqschub.gkmgrass.EqClass.to_json_dict, eqschub.gkmgrass.EqClass.__str__):
+        assert "_texts" in method.__code__.co_names
+
+
 def test_polynomial_text_has_one_reader():
     # Polynomial.parse matches whole terms; the token reader is only a test
     # oracle, in tests/oracles.py.

@@ -7,6 +7,7 @@
         -- lr --n 4 --k 2 --a 1 --b 1
     python3 tools/bench_pairs.py setup BASE CHANGE --workload warm_calculus \
         --repeats 10 --out BENCH_25.json
+    python3 tools/bench_pairs.py large BASE CHANGE --repeats 3 --out BENCH_29.json
 
 BASE and CHANGE are the roots of two checkouts, for example a clone of the
 parent commit and one of the change.  `workload` runs `perfbench/run.py` in
@@ -22,7 +23,11 @@ of `python -m eqschub ARGV...` in a fresh interpreter on each side,
 alternating the same way, and requires every run on both sides to exit
 with the same status and print the same stdout; beside the wall time it
 records the child's peak RSS in MB, the ru_maxrss that os.wait4 returns
-when it reaps the child.  `setup` times the
+when it reaps the child; stdout is compared by its sha256.  `large` runs
+`command` for each line of `tools/large.txt`, a time budget in seconds
+followed by the eqschub arguments, records the budget beside each
+entry, and exits with status 1 when the change's median time of some
+command is over its budget.  `setup` times the
 set-up of one workload alone, `perfbench/run.py --workload W --seed 1
 --probe-setup`, in a fresh interpreter on each side, alternating the same
 way.  Each metric gets each side's median and quartiles, all of its runs,
@@ -67,6 +72,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+LARGE = Path(__file__).resolve().with_name("large.txt")
 
 BUILD_SCRIPT = """
 import hashlib, json, sys, time
@@ -190,18 +197,43 @@ def run_command(args, envs: dict) -> dict:
             seconds = time.perf_counter() - start
             child.returncode = os.waitstatus_to_exitcode(status)
             stdout.seek(0)
-            out = stdout.read().decode()
-        return seconds, usage.ru_maxrss / 1024, child.returncode, out
+            digest = hashlib.file_digest(stdout, "sha256").hexdigest()
+        return seconds, usage.ru_maxrss / 1024, child.returncode, digest
 
     pairs = [alternate(i, args.base, args.change, run) for i in range(args.repeats)]
-    outputs = {(status, out) for side in pairs for _, _, status, out in side}
+    outputs = {(status, digest) for side in pairs for _, _, status, digest in side}
     if len(outputs) != 1:
         raise SystemExit(f"{shlex.join(args.argv)}: the runs differ in exit status or stdout")
-    status, out = outputs.pop()
-    return {"unit": "s", "exit_status": status,
-            "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
+    status, digest = outputs.pop()
+    return {"unit": "s", "exit_status": status, "stdout_sha256": digest,
             **compare([b[0] for b, _ in pairs], [c[0] for _, c in pairs], "lower"),
             "peak_rss_mb": compare([b[1] for b, _ in pairs], [c[1] for _, c in pairs], "lower")}
+
+
+def read_large(path: Path) -> list[tuple[float, list[str]]]:
+    """(time budget in seconds, eqschub argv) for each line of a command
+    list; blank lines and lines that start with # are skipped."""
+    entries = []
+    for line in path.read_text().splitlines():
+        if line.strip() and not line.lstrip().startswith("#"):
+            budget, *argv = shlex.split(line)
+            entries.append((float(budget), argv))
+    return entries
+
+
+def run_large(args, envs: dict) -> dict:
+    """`command` for each line of the list, with the line's budget beside it;
+    a command is within budget when the change's median time is."""
+    entries = {}
+    for budget, argv in read_large(LARGE):
+        args.argv = argv
+        entry = run_command(args, envs)
+        entry["budget_s"] = budget
+        entry["within_budget"] = entry["change"]["median"] <= budget
+        entries[shlex.join(argv)] = entry
+        print(f"{shlex.join(argv)}: {entry['base']['median']:.3f} -> "
+              f"{entry['change']['median']:.3f} s (budget {budget:g} s)", file=sys.stderr)
+    return entries
 
 
 def run_setup(args, envs: dict) -> dict:
@@ -237,7 +269,9 @@ def main(argv=None) -> int:
     build = modes.add_parser("build", help="paired builds of all Schubert and opposite classes")
     command = modes.add_parser("command", help="paired runs of python -m eqschub ARGV")
     setup = modes.add_parser("setup", help="paired workload set-ups, compiled at every start")
-    for sub in (workload, build, command, setup):
+    large = modes.add_parser("large", help="paired runs of every command of a list, each "
+                                           "against its time budget")
+    for sub in (workload, build, command, setup, large):
         sub.add_argument("base", type=Path)
         sub.add_argument("change", type=Path)
         sub.add_argument("--out", type=Path, required=True)
@@ -248,7 +282,7 @@ def main(argv=None) -> int:
     build.add_argument("--shape", required=True, help="n,k of the Grassmannian",
                        type=lambda s: tuple(int(v) for v in s.split(",")))
     command.add_argument("argv", nargs="+", help="eqschub arguments, after --")
-    for sub in (build, command, setup):
+    for sub in (build, command, setup, large):
         sub.add_argument("--repeats", type=int, default=1)
     args = parser.parse_args(argv)
     args.base, args.change = args.base.resolve(), args.change.resolve()
@@ -279,11 +313,19 @@ def main(argv=None) -> int:
         elif args.mode == "command":
             entry = run_command(args, envs)
             report.setdefault("commands", {})[shlex.join(args.argv)] = {**sides, **entry}
+        elif args.mode == "large":
+            entries = run_large(args, envs)
+            for argv, entry in entries.items():
+                report.setdefault("commands", {})[argv] = {**sides, **entry}
+            over = [argv for argv, entry in entries.items() if not entry["within_budget"]]
         else:
             n, k = args.shape
             entry = run_build(args, envs)
             report.setdefault("class_builds", {})[f"Gr({k},{n})"] = {**sides, **entry}
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    if args.mode == "large" and over:
+        print(f"over budget: {'; '.join(over)}", file=sys.stderr)
+        return 1
     return 0
 
 
