@@ -69,7 +69,7 @@ def _tableau_sum(tableaux, factor) -> Polynomial:
     at most 1 per box, so only a box past the MAX_EXPONENT-th is checked for
     overflow, as a product would be.
     """
-    total = None
+    total: dict = {}
     for rows in tableaux:
         term, count = {_ONE: 1}, 0
         for i, row in enumerate(rows, start=1):
@@ -82,11 +82,11 @@ def _tableau_sum(tableaux, factor) -> Polynomial:
                 if minus is not None:
                     _merge(out, term, minus, -1)
                 term = out
-        if total is None:
-            total = term
-        else:
+        if total:
             _merge(total, term, _ONE, 1)
-    return Polynomial._make(total or {})
+        else:
+            total = term
+    return Polynomial._make(total)
 
 
 def _check_schur(lam: Partition, k: int, factor) -> None:
