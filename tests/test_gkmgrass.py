@@ -113,9 +113,7 @@ def test_class_text_is_each_restriction_rendered_alone():
     # its JSON and its text must read as if each restriction were rendered
     # by str on its own.  Every Schubert and opposite class, and the
     # products sigma_lam * sigma_1, of every Gr(k, n) with n <= 6.
-    for shape in UP_TO_N7:
-        if shape.n > 6:
-            continue
+    for shape in (shape for shape in UP_TO_N7 if shape.n <= 6):
         sigma1 = schubert_class((1,), shape)
         for lam in shape.partitions():
             schubert = schubert_class(lam, shape)
