@@ -673,17 +673,29 @@ def _divide_series(series: list[Polynomial], a: int) -> list[Polynomial]:
     return out
 
 
-def _top_degree_value(p: Polynomial, dim: int) -> int | None:
+def _top_degree_value(p: Polynomial, dim: int, values: dict) -> int | None:
     """The degree-dim component of a polynomial in t alone at t_i = i; None
-    when some term has degree above dim."""
+    when some term has degree above dim.
+
+    values maps a monomial to its value at t_i = i and is filled here, so the
+    restrictions of one class, which share many monomials, pass one dict.
+    Degrees are read as m % MAX_EXPONENT, as `_render` reads them, and
+    summed field by field where the OR of the monomials reaches MAX_EXPONENT.
+    """
+    terms = p._terms
+    if not terms:
+        return 0
+    exact = _mono_degree(reduce(or_, terms)) >= MAX_EXPONENT
     top = 0
-    for mono, coeff in p._terms.items():
-        exps = _exponents(mono)  # the t_i exponent sits at slot i - 1
-        degree = sum(exps)
+    for mono, degree in zip(terms, map(_mono_degree if exact else MAX_EXPONENT.__rmod__, terms)):
         if degree > dim:
             return None
         if degree == dim:
-            top += coeff * prod(map(pow, range(1, len(exps) + 1), exps))
+            value = values.get(mono)
+            if value is None:
+                exps = _exponents(mono)  # the t_i exponent sits at slot i - 1
+                value = values[mono] = prod(map(pow, range(1, len(exps) + 1), exps))
+            top += terms[mono] * value
     return top
 
 

@@ -49,7 +49,6 @@ from .exactalg import (
     _positivity_witness,
     _render,
     _top_degree_value,
-    _weight_indices,
 )
 from .dschur import _bialternant, _flagged_sum
 from .ytcomb import (
@@ -301,8 +300,8 @@ def schubert_class(lam, shape: GrassmannianShape) -> EqClass:
     hit = _SCHUBERT_CACHE.get(key)
     if hit is not None:
         return hit
-    result = _marked(EqClass(shape, {J: _schubert_restriction(lam, J, shape)
-                                     for J in shape.subsets()}))
+    values = ((J, _schubert_restriction(lam, J, shape)) for J in shape.subsets())
+    result = EqClass._make(shape, {J: value for J, value in values if value}, True)
     _SCHUBERT_CACHE[key] = result
     return result
 
@@ -321,12 +320,10 @@ def opposite_schubert_class(lam, shape: GrassmannianShape) -> EqClass:
     Kronecker delta.
     """
     complement = Partition.of(lam).box_complement(shape)
-    restrictions = {
-        J: _flagged_sum(complement, subset_to_partition(J.reflected(shape.n), shape),
-                        J.elements[::-1], J.missing(shape.n))
-        for J in shape.subsets()
-    }
-    return _marked(EqClass(shape, restrictions))
+    values = ((J, _flagged_sum(complement, subset_to_partition(J.reflected(shape.n), shape),
+                               J.elements[::-1], J.missing(shape.n)))
+              for J in shape.subsets())
+    return EqClass._make(shape, {J: value for J, value in values if value}, True)
 
 
 class GKMGraph(_Record):
@@ -349,7 +346,15 @@ class GKMGraph(_Record):
 
 def gkm_graph(shape: GrassmannianShape) -> GKMGraph:
     """Vertices are all pivot subsets; subsets differing in one element are
-    joined by an edge with weight t_j - t_i."""
+    joined by an edge with weight t_j - t_i.  The graph is built once per
+    shape and kept in `_GRAPH_CACHE` with its edges as (I, J, weight, i, j),
+    i and j the indices the weight is formed from, for `gkm_check`."""
+    return _graph_entry(shape)[0]
+
+
+def _graph_entry(shape: GrassmannianShape) -> tuple[GKMGraph, tuple]:
+    """The `_GRAPH_CACHE` entry of shape: its graph and its edges with their
+    weights' indices."""
     key = (shape.n, shape.k)
     hit = _GRAPH_CACHE.get(key)
     if hit is not None:
@@ -362,10 +367,9 @@ def gkm_graph(shape: GrassmannianShape) -> GKMGraph:
             for j in outside:
                 J = PivotSubset.of(set(I.elements) - {i} | {j})
                 if I.elements < J.elements:
-                    edges.append((I, J, t(j) - t(i)))
-    graph = GKMGraph(shape, vertices, tuple(edges))
-    _GRAPH_CACHE[key] = graph
-    return graph
+                    edges.append((I, J, t(j) - t(i), i, j))
+    hit = _GRAPH_CACHE[key] = GKMGraph(shape, vertices, tuple(e[:3] for e in edges)), tuple(edges)
+    return hit
 
 
 class GkmViolation(_Record):
@@ -398,13 +402,16 @@ def gkm_check(c: EqClass) -> GkmCheckResult:
 
     t_j - t_i divides a polynomial exactly when the polynomial vanishes under
     t_j -> t_i, so each edge is decided by that substitution, not by division.
+    The edges and the indices i, j of their weights come from the graph's
+    `_GRAPH_CACHE` entry, read once when the graph is built, and the
+    restrictions straight from the class; an edge whose ends hold one value,
+    as two zero ends do, passes unread.
     """
-    graph = gkm_graph(c.shape)
+    values, zero = c._restrictions, Polynomial.zero()
     violations = []
-    for I, J, weight in graph.edges:
-        a, b = c.restriction(I), c.restriction(J)
-        j, i, _ = _weight_indices(weight)
-        if not _agree_at_diagonal(a, b, i, j):
+    for I, J, weight, i, j in _graph_entry(c.shape)[1]:
+        a, b = values.get(I, zero), values.get(J, zero)
+        if a is not b and not _agree_at_diagonal(a, b, i, j):
             violations.append(GkmViolation(I, J, weight, a - b))
     return GkmCheckResult(not violations, tuple(violations))
 
@@ -465,11 +472,11 @@ def expand_in_basis(c: EqClass) -> BasisExpansion:
     return BasisExpansion(shape, coeffs)
 
 
-def _sigma1_difference(I: PivotSubset, J: PivotSubset) -> Polynomial:
-    """sigma_1|J - sigma_1|I.  The value of `schubert_class((1,))` at J is the
-    sum of t_j over the top k indices less the sum of t_j over J, so the
-    difference is the sum of t_i over I less the sum of t_j over J."""
-    return sum(map(t, I.elements), Polynomial.zero()) - sum(map(t, J.elements), Polynomial.zero())
+def _pivot_sum(J: PivotSubset) -> Polynomial:
+    """The sum of t_j over J.  The value of `schubert_class((1,))` at J is the
+    sum of t_j over the top k indices less this sum, so sigma_1|J - sigma_1|I
+    is the pivot sum of I less that of J."""
+    return sum(map(t, J.elements), Polynomial.zero())
 
 
 def structure_constants(lam, mu, shape: GrassmannianShape) -> BasisExpansion:
@@ -492,27 +499,37 @@ def structure_constants(lam, mu, shape: GrassmannianShape) -> BasisExpansion:
     by decreasing weight, and each nu containing lam' and mu by increasing
     weight, so both sums are known when c^nu_{lam',mu} is formed.  The
     divisor is the sum of t_j over lam's pivots less that over nu's
-    (`_sigma1_difference`): a nonzero linear form with coefficients +-1,
+    (`_pivot_sum`, formed once per call for each partition containing lam,
+    the only ones visited): a nonzero linear form with coefficients +-1,
     divided out by `_divide`; a remainder raises NotDivisible.  The
     coefficients come in `shape.partitions()` order, zeros dropped, as
     `expand_in_basis` of the product gives them.
+
+    The values sigma_mu|lam' are read from sigma_mu's class when the caller
+    has already built it (it is in `_SCHUBERT_CACHE`), and are otherwise
+    summed at each lam' alone; no class is built or stored either way.
     """
     lam, mu = _check_partition(lam, shape), _check_partition(mu, shape)
     if lam.weight < mu.weight:
         lam, mu = mu, lam
     k, partitions = shape.k, shape.partitions()
     rows = {nu: nu.padded(k) for nu in partitions}
+    containing = [nu for nu in partitions if nu.contains(lam)]
+    subsets = {nu: partition_to_subset(nu, shape) for nu in containing}
+    sums = {nu: _pivot_sum(J) for nu, J in subsets.items()}
+    held = _SCHUBERT_CACHE.get((shape.n, shape.k, mu.parts))
     # c^nu_{lam',mu} as {lam': {nu: value}}, partitions as padded rows: level
     # for the lam' of the weight being visited, above for those one box heavier
     level, above, weight = {}, {}, None
-    for outer in reversed([nu for nu in partitions if nu.contains(lam)]):
+    for outer in reversed(containing):
         if outer.weight != weight:
             level, above, weight = {}, level, outer.weight
-        lp, cap, J = rows[outer], outer.weight + mu.weight, partition_to_subset(outer, shape)
+        lp, cap, J = rows[outer], outer.weight + mu.weight, subsets[outer]
         floor = tuple(map(max, lp, mu.padded(k)))
         table = level[lp] = {}
         if floor == lp:  # lam' contains mu
-            table[lp] = _schubert_restriction(mu, J, shape)
+            table[lp] = (held._restrictions[J] if held is not None
+                         else _schubert_restriction(mu, J, shape))
         for nu in partitions:
             if nu.weight > cap:
                 break
@@ -530,7 +547,7 @@ def structure_constants(lam, mu, shape: GrassmannianShape) -> BasisExpansion:
                     if value:
                         rhs = rhs - value
             if rhs:
-                q, r = _divide(rhs, _sigma1_difference(J, partition_to_subset(nu, shape)))
+                q, r = _divide(rhs, sums[outer] - sums[nu])
                 if r:
                     raise NotDivisible(r, q)
                 table[p] = q
@@ -620,11 +637,12 @@ def integrate(c: EqClass) -> Polynomial:
 
 def _top_degree_integral(c: EqClass) -> int | None:
     """The integral of c when no term has degree above dim, else None: the
-    `_localization_sum` of each restriction's degree-dim part at (1, ..., n)."""
+    `_localization_sum` of each restriction's degree-dim part at (1, ..., n),
+    with one dict of monomial values shared across the restrictions."""
     n, dim = c.shape.n, c.shape.dimension
-    terms = []
+    terms, values = [], {}
     for I, value in c.items():
-        top = _top_degree_value(value, dim)
+        top = _top_degree_value(value, dim, values)
         if top is None:
             return None
         if top:

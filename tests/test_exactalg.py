@@ -1,5 +1,6 @@
 import pickle
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from eqschub.exactalg import (
     _agree_at_diagonal,
     _divide,
     _render,
+    _top_degree_value,
     t,
     u,
     x,
@@ -396,11 +398,12 @@ _VARIABLES = st.tuples(st.sampled_from(range(len(FAMILIES))), _INDICES)
 
 
 @st.composite
-def tuple_polys(draw, max_terms=4, coeffs=st.integers(-9, 9)):
-    """A polynomial in the tuple layout over all four families."""
+def tuple_polys(draw, max_terms=4, coeffs=st.integers(-9, 9), variables=_VARIABLES):
+    """A polynomial in the tuple layout, over all four families unless
+    `variables` draws from fewer."""
     terms: dict = {}
     for _ in range(draw(st.integers(0, max_terms))):
-        mono = {draw(_VARIABLES): draw(_EXPONENTS) for _ in range(draw(st.integers(0, 3)))}
+        mono = {draw(variables): draw(_EXPONENTS) for _ in range(draw(st.integers(0, 3)))}
         key = tuple(sorted(mono.items(), reverse=True))
         terms = tuple_add(terms, {key: draw(coeffs)})
     return terms
@@ -466,6 +469,45 @@ def test_render_orders_total_degrees_from_65535_up(text, canonical):
     p = Polynomial.parse(text)
     assert str(p) == canonical == tuple_str(tuple_terms(p))
     assert _render(p, {}) == canonical
+
+
+def _tuple_top_degree(a: dict, dim: int) -> int | None:
+    """The degree-dim part of a tuple-layout polynomial in t at t_i = i, one
+    term at a time; None when some term has degree above dim."""
+    degrees = {m: sum(e for _, e in m) for m in a}
+    if any(degree > dim for degree in degrees.values()):
+        return None
+    return sum(c * prod(idx ** e for (_, idx), e in m) for m, c in a.items() if degrees[m] == dim)
+
+
+@given(st.lists(tuple_polys(max_terms=6, variables=st.tuples(st.just(0), _INDICES)),
+                min_size=1, max_size=4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_top_degree_value_matches_tuple_oracle(polys, data):
+    # Several polynomials share one dict of monomial values, as a class's
+    # restrictions do; dim is a total degree some term has, or one off it.
+    degrees = sorted({sum(e for _, e in m) for a in polys for m in a}) or [0]
+    dim = max(0, data.draw(st.sampled_from(degrees)) + data.draw(st.sampled_from((-1, 0, 0, 1))))
+    values: dict = {}
+    got = [_top_degree_value(_packed(a), dim, values) for a in polys]
+    assert got == [_tuple_top_degree(a, dim) for a in polys]
+
+
+@pytest.mark.parametrize("text, dim, value", [
+    ("t1^65535 + t2", 65535, 1),
+    ("t1^65535 + t2", 1, None),
+    ("t2^65535 - 3*t1 + 4", 65535, 2 ** 65535),
+    ("t1^65535*t2 + t3", 65535, None),
+    ("t1^65535*t2 + t3", 65536, 2),
+    ("t1^32767*t2^32768 + 5*t3", 65535, 2 ** 32768),  # fields summing to 65535
+    ("t1^40000*t2^40000 + t3^2", 2, None),
+    ("t1 - t1^65534*t2 + 3", 65535, -2),
+], ids=lambda v: str(v) if not isinstance(v, int) or v.bit_length() < 64 else f"{v.bit_length()}-bit")
+def test_top_degree_value_reads_total_degrees_from_65535_up(text, dim, value):
+    # m % 65535 is the total degree of m only below 65535, so where some
+    # degree reaches it the degrees are summed field by field.
+    p = Polynomial.parse(text)
+    assert _top_degree_value(p, dim, {}) == value == _tuple_top_degree(tuple_terms(p), dim)
 
 
 @given(tuple_polys(), st.data())

@@ -6,7 +6,7 @@ from math import prod
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from eqschub import dschur
+from eqschub import dschur, gkmgrass
 from eqschub.exactalg import (
     MonomialOverflow,
     ParseError,
@@ -24,8 +24,8 @@ from eqschub.gkmgrass import (
     NotInSpan,
     ShapeMismatch,
     _minors,
+    _pivot_sum,
     _schubert_restriction,
-    _sigma1_difference,
     chern_class_taut,
     constant_class,
     euler_class,
@@ -479,6 +479,20 @@ def test_gkm_graph_edge_weights_in_tangent_spaces():
             assert len(set(at_vertex)) == len(at_vertex) == shape.dimension, (shape, I)
 
 
+def test_gkm_graph_entry_keeps_each_weights_indices():
+    # gkm_check reads each edge's (i, j) from the graph's cache entry: they
+    # are the indices of its weight t_j - t_i, as `_weight_indices` reads
+    # them, and the edge's ends differ by i and j.
+    for shape in UP_TO_N7:
+        graph, edges = gkmgrass._graph_entry(shape)
+        assert graph is gkm_graph(shape)
+        assert graph.edges == tuple((I, J, w) for I, J, w, _, _ in edges)
+        for I, J, w, i, j in edges:
+            assert _weight_indices(w) == (j, i, 1)
+            assert set(I.elements) - set(J.elements) == {i}
+            assert set(J.elements) - set(I.elements) == {j}
+
+
 def test_gkm_graph_incident_weights_are_tangent_weights():
     from collections import Counter
 
@@ -823,7 +837,7 @@ def test_sigma1_closed_form_matches_schubert_values():
         assert not values[shape.subsets()[-1]]
         for I in values:
             for J in values:
-                assert _sigma1_difference(I, J) == values[J] - values[I], (I, J)
+                assert _pivot_sum(I) - _pivot_sum(J) == values[J] - values[I], (I, J)
 
 
 def test_structure_constants_match_expansion_oracle():
@@ -840,6 +854,27 @@ def test_structure_constants_match_expansion_oracle():
         want = list(structure_constants_by_expansion(a, b, shape).coeffs.items())
         assert list(structure_constants(a, b, shape).coeffs.items()) == want, (shape, a, b)
         assert list(structure_constants(b, a, shape).coeffs.items()) == want, (shape, b, a)
+
+
+def test_structure_constants_read_held_classes(monkeypatch):
+    # sigma_mu|lam' comes from sigma_mu's class when the caller has built it
+    # and from the flagged sum at each point when not: the same dict in the
+    # same order, on every ordered pair of every Gr(k, n) with n <= 6 and on
+    # 8 seeded pairs of Gr(4,8); the call with an empty cache builds and
+    # stores no class.
+    gr48 = GrassmannianShape(8, 4)
+    rng = random.Random(3001)
+    cases = [(shape, [(a, b) for a in shape.partitions() for b in shape.partitions()])
+             for shape in UP_TO_N6]
+    cases.append((gr48, [tuple(rng.choices(gr48.partitions(), k=2)) for _ in range(8)]))
+    for shape, pairs in cases:
+        monkeypatch.setattr(gkmgrass, "_SCHUBERT_CACHE", {})
+        bare = [list(structure_constants(a, b, shape).coeffs.items()) for a, b in pairs]
+        assert not gkmgrass._SCHUBERT_CACHE, shape
+        for lam in shape.partitions():
+            schubert_class(lam, shape)
+        held = [list(structure_constants(a, b, shape).coeffs.items()) for a, b in pairs]
+        assert held == bare, shape
 
 
 @pytest.mark.parametrize("mu", [(3, 2, 1)] + random.Random(2702).sample(
