@@ -404,13 +404,14 @@ def gkm_check(c: EqClass) -> GkmCheckResult:
     t_j -> t_i, so each edge is decided by that substitution, not by division.
     The edges and the indices i, j of their weights come from the graph's
     `_GRAPH_CACHE` entry, read once when the graph is built, and the
-    restrictions straight from the class.
+    restrictions straight from the class; an edge whose ends hold one value,
+    as two zero ends do, passes unread.
     """
     values, zero = c._restrictions, Polynomial.zero()
     violations = []
     for I, J, weight, i, j in _graph_entry(c.shape)[1]:
         a, b = values.get(I, zero), values.get(J, zero)
-        if not _agree_at_diagonal(a, b, i, j):
+        if a is not b and not _agree_at_diagonal(a, b, i, j):
             violations.append(GkmViolation(I, J, weight, a - b))
     return GkmCheckResult(not violations, tuple(violations))
 
