@@ -4,15 +4,15 @@ branching table and one bialternant.
 Each of five values is a sum over semistandard tableaux, from the one
 backtracking of `ytcomb`, of a product of one linear factor per box, a
 variable or a difference of two.  `_tableau_sum` takes each factor as the
-monomials of its variables and multiplies a term's dict by it directly, so
-no Polynomial is built per box.  Over every tableau with entries <= k, the
-double Schur polynomial takes
-x_s - u_a, the ordinary one x_s, and the restriction to a fixed point of
-Gr(k, n) t_{n+1-a} - t_{i_s}, with no substitution; `_restricted_tables`
-builds all of a point's restrictions at once by the branching rule.  Over
-flagged tableaux (excited Young diagrams) the Schubert and opposite
-restrictions of `gkmgrass` take a weight t_j - t_i (i < j), so no terms
-cancel.  The third form, a Schubert restriction at an integer point, is a
+monomials of its variables and multiplies a term's dict by it directly,
+adding through `exactalg`'s one accumulation loop, so no Polynomial is
+built per box.  Over every tableau with entries <= k, the double Schur
+polynomial takes x_s - u_a, the ordinary one x_s, and the restriction to
+a fixed point of Gr(k, n) t_{n+1-a} - t_{i_s}, with no substitution;
+`_restricted_tables` builds all of a point's restrictions at once by the
+branching rule.  Over flagged tableaux (excited Young diagrams) the
+Schubert and opposite restrictions of `gkmgrass` take a weight t_j - t_i
+(i < j), so no terms cancel.  The third form, a Schubert restriction at an integer point, is a
 k x k determinant over a Vandermonde product (`_bialternant`).
 """
 
@@ -28,6 +28,7 @@ from .exactalg import (
     t,
     _ONE,
     _check_product,
+    _merge,
     _monomial,
 )
 from .ytcomb import (
@@ -42,18 +43,6 @@ from .ytcomb import (
 
 class TooManyRows(EqschubError):
     """The partition has more rows than there are x variables."""
-
-
-def _merge(target: dict, terms: dict, shift: int, sign: int) -> None:
-    """Add sign times terms, each monomial times the monomial shift, into
-    target, dropping the terms that cancel."""
-    for m, c in terms.items():
-        m += shift
-        c = target.get(m, 0) + sign * c
-        if c:
-            target[m] = c
-        else:
-            del target[m]
 
 
 def _tableau_sum(tableaux, factor) -> Polynomial:

@@ -5,27 +5,29 @@ precision integer coefficients over the named variable families t, x, u, y;
 `Polynomial.parse` reads back the text `str` writes, one pattern match per
 term.  There is one writer, `_render`, for a polynomial alone and for every
 restriction of a class, which shares one dict of factor texts across them.
-There is one division: synthetic division by a linear form in t
-with a coefficient +-1, which leaves a remainder free of that variable.
-The public `divide_with_remainder` and `exact_divide` take only a torus
-weight t_a - t_b, itself a Polynomial; the structure constants also divide
-by differences of two sums of t variables.  `ratf_sum` adds fractions whose
-denominators are products of weights and divides the sum by them, so it
-returns a polynomial or raises NotDivisible.  A monomial is one int with a
-16-bit exponent field per variable, so indices go up to MAX_INDEX = 32 and
-exponents up to MAX_EXPONENT = 65535; past either, MonomialOverflow is
-raised.  The change to
-consecutive differences y_i = t_{i+1} - t_i behind Graham positivity
-certificates is a chain of one-variable shifts on that layout, not a generic
-substitution.  So are the two steps of a truncated Chern series behind the
-tautological and Kempf-Laksov classes: multiplying by 1 +- t_a and dividing
-by 1 + t_a each add t_a's field to the monomials of one degree to form the
-next.  A polynomial in t of bounded degree can also be rebuilt from its
-integer values on a lattice, by Newton's forward differences.  No other
-module reads a monomial's fields; `dschur`'s tableau sum, the one other
-writer, multiplies by a variable by adding the monomial `_monomial` gives
-it, and leaves an overflow to `_check_product`.  All values are
-immutable and every operation is a pure function, so the whole module is
+Sums, differences, products, substitution and each step of division add
+into a dict of terms through one loop, `_merge`, and every total degree is
+read through one `_degree_reader`.  There is one division: synthetic
+division by a linear form in t with a coefficient +-1, which leaves a
+remainder free of that variable.  The public `divide_with_remainder` and
+`exact_divide` take only a torus weight t_a - t_b, itself a Polynomial; the
+structure constants also divide by differences of two sums of t variables.
+`ratf_sum` adds fractions whose denominators are products of weights and
+divides the sum by them, so it returns a polynomial or raises NotDivisible.
+A monomial is one int with a 16-bit exponent field per variable, so indices
+go up to MAX_INDEX = 32 and exponents up to MAX_EXPONENT = 65535; past
+either, MonomialOverflow is raised.  The change to consecutive differences
+y_i = t_{i+1} - t_i behind Graham positivity certificates is a chain of
+one-variable shifts on that layout, not a generic substitution.  So are the
+two steps of a truncated Chern series behind the tautological and
+Kempf-Laksov classes: multiplying by 1 +- t_a and dividing by 1 + t_a each
+add t_a's field to the monomials of one degree to form the next.  A
+polynomial in t of bounded degree can also be rebuilt from its integer
+values on a lattice, by Newton's forward differences.  No other module
+reads a monomial's fields; `dschur`'s tableau sum, the one other writer,
+multiplies by a variable by adding the monomial `_monomial` gives it
+through `_merge`, and leaves an overflow to `_check_product`.  All values
+are immutable and every operation is a pure function, so the whole module is
 safe for unrestricted concurrent use.
 """
 
@@ -139,6 +141,31 @@ def _mono_degree(mono: int) -> int:
     return sum(_exponents(mono))
 
 
+def _degree_reader(terms):
+    """The total-degree function for the monomials of terms.
+
+    A monomial m is the sum of its exponents times powers of 65536, which is
+    1 modulo MAX_EXPONENT, so m % MAX_EXPONENT is its total degree while
+    that is below MAX_EXPONENT; the result is then the C-level
+    `MAX_EXPONENT.__rmod__`.  The sum of the fields of the OR of all the
+    monomials bounds every total degree, and where it reaches MAX_EXPONENT
+    the degrees are summed field by field by `_mono_degree`.
+    """
+    return _mono_degree if _mono_degree(reduce(or_, terms, 0)) >= MAX_EXPONENT else MAX_EXPONENT.__rmod__
+
+
+def _merge(target: dict, terms: dict, shift: int, scale: int) -> None:
+    """Add scale times terms, each monomial times the monomial shift, into
+    target, dropping the terms that cancel."""
+    for m, c in terms.items():
+        m += shift
+        c = target.get(m, 0) + scale * c
+        if c:
+            target[m] = c
+        else:
+            del target[m]
+
+
 def _high(*term_maps: dict) -> int:
     """Bit 15 of each field in which some monomial of the maps has an
     exponent of 2^15 or more; while it is clear, a sum of two exponents of
@@ -244,12 +271,7 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self._terms)
-        for m, c in other._terms.items():
-            nc = out.get(m, 0) + c
-            if nc:
-                out[m] = nc
-            else:
-                del out[m]
+        _merge(out, other._terms, _ONE, 1)
         return Polynomial._make(out)
 
     __radd__ = __add__
@@ -259,12 +281,7 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self._terms)
-        for m, c in other._terms.items():
-            nc = out.get(m, 0) - c
-            if nc:
-                out[m] = nc
-            else:
-                del out[m]
+        _merge(out, other._terms, _ONE, -1)
         return Polynomial._make(out)
 
     def __rsub__(self, other) -> "Polynomial":
@@ -284,13 +301,7 @@ class Polynomial:
             _check_product(a, b)
         out: dict = {}
         for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = ma + mb
-                nc = out.get(m, 0) + ca * cb
-                if nc:
-                    out[m] = nc
-                else:
-                    del out[m]
+            _merge(out, b, ma, ca)
         return Polynomial._make(out)
 
     __rmul__ = __mul__
@@ -318,16 +329,14 @@ class Polynomial:
         """Total degree; -inf for the zero polynomial."""
         if not self._terms:
             return float("-inf")
-        return max(_mono_degree(m) for m in self._terms)
+        return max(map(_degree_reader(self._terms), self._terms))
 
     def is_homogeneous(self) -> bool:
-        degrees = {_mono_degree(m) for m in self._terms}
-        return len(degrees) <= 1
+        return len(set(map(_degree_reader(self._terms), self._terms))) <= 1
 
     def homogeneous_component(self, d: int) -> "Polynomial":
-        return Polynomial._make(
-            {m: c for m, c in self._terms.items() if _mono_degree(m) == d}
-        )
+        degree = _degree_reader(self._terms)
+        return Polynomial._make({m: c for m, c in self._terms.items() if degree(m) == d})
 
     def constant_term(self) -> int:
         return self._terms.get(_ONE, 0)
@@ -386,12 +395,7 @@ class Polynomial:
                     pw = images[slot] ** e
                     pow_cache[key] = pw
                 part = part * pw
-            for m, c in part._terms.items():
-                nc = out.get(m, 0) + coeff * c
-                if nc:
-                    out[m] = nc
-                else:
-                    del out[m]
+            _merge(out, part._terms, _ONE, coeff)
         return Polynomial._make(out)
 
     def divide_with_remainder(self, divisor: PolyLike):
@@ -465,18 +469,14 @@ def _render(p: Polynomial, bodies: dict) -> str:
 
     bodies maps a monomial to the text of its factors and is filled here, so
     the restrictions of one class, which share many monomials, pass one dict.
-    Both sorts are by C-level keys: the monomials descending, then, stably,
-    their degrees descending, read as m % MAX_EXPONENT, which is the total
-    degree of m while that is below MAX_EXPONENT; the sum of the fields of
-    the OR of all monomials bounds every total degree, and where it reaches
-    MAX_EXPONENT the degrees are summed field by field.
+    Both sorts are by int keys: the monomials descending, then, stably,
+    their total degrees descending, as `_degree_reader` reads them.
     """
     terms = p._terms
     if not terms:
         return "0"
     order = sorted(terms, reverse=True)
-    exact = _mono_degree(reduce(or_, order)) >= MAX_EXPONENT
-    order.sort(key=_mono_degree if exact else MAX_EXPONENT.__rmod__, reverse=True)
+    order.sort(key=_degree_reader(order), reverse=True)
     pieces = []
     append = pieces.append
     for m, c, body in zip(order, map(terms.__getitem__, order), map(bodies.get, order)):
@@ -561,8 +561,8 @@ def _divide(p: Polynomial, form, weight=None) -> tuple[Polynomial, Polynomial]:
         sb = rest[0][0].bit_length() - 1
         if _high(terms) & (MAX_EXPONENT << sa | MAX_EXPONENT << sb):
             wide, terms, rest = sb, _widen(terms, sb), [(1 << _WIDE, rest[0][1])]
-    elif len(rest) > 1 and _high(terms) and max(map(_mono_degree, terms)) > MAX_EXPONENT:
-        raise MonomialOverflow(f"degree {max(map(_mono_degree, terms))} exceeds {MAX_EXPONENT}")
+    elif len(rest) > 1 and _high(terms) and (top := max(map(_degree_reader(terms), terms))) > MAX_EXPONENT:
+        raise MonomialOverflow(f"degree {top} exceeds {MAX_EXPONENT}")
     # Level e holds s*F_e - s*R*q_e = q_(e-1), each term already times
     # t_a^(e-1), so it joins the quotient as it is; level 0 ends as s*r.
     unit, levels = 1 << sa, {}
@@ -576,14 +576,7 @@ def _divide(p: Polynomial, form, weight=None) -> tuple[Polynomial, Polynomial]:
         down = unit if e > 1 else 0  # the remainder's terms keep no t_a
         above, level = level, levels.get(e - 1, {})
         for rm, rc in rest:
-            step = rm - down
-            for mono, coeff in above.items():
-                key = mono + step
-                nc = level.get(key, 0) + rc * coeff
-                if nc:
-                    level[key] = nc
-                else:
-                    del level[key]
+            _merge(level, above, rm - down, rc)
     remainder = level if sign > 0 else {mono: -coeff for mono, coeff in level.items()}
     if wide is not None:
         quotient, remainder = _narrow(quotient, wide), _narrow(remainder, wide)
@@ -622,7 +615,7 @@ def _difference_chain(p: Polynomial, n: int) -> Polynomial:
     """
     _shift(_T, n)  # MonomialOverflow for n > MAX_INDEX, before any work
     terms = p._terms
-    top = max(map(_mono_degree, terms), default=0)
+    top = max(map(_degree_reader(terms), terms), default=0)
     if top > MAX_EXPONENT:
         raise MonomialOverflow(f"exponent {top} of t{n} exceeds {MAX_EXPONENT}")
     rows: dict = {}  # a -> the coefficients (-1)^j C(a, j) of (t - y)^a
@@ -679,15 +672,13 @@ def _top_degree_value(p: Polynomial, dim: int, values: dict) -> int | None:
 
     values maps a monomial to its value at t_i = i and is filled here, so the
     restrictions of one class, which share many monomials, pass one dict.
-    Degrees are read as m % MAX_EXPONENT, as `_render` reads them, and
-    summed field by field where the OR of the monomials reaches MAX_EXPONENT.
+    Degrees are read by `_degree_reader`, as `_render` reads them.
     """
     terms = p._terms
     if not terms:
         return 0
-    exact = _mono_degree(reduce(or_, terms)) >= MAX_EXPONENT
     top = 0
-    for mono, degree in zip(terms, map(_mono_degree if exact else MAX_EXPONENT.__rmod__, terms)):
+    for mono, degree in zip(terms, map(_degree_reader(terms), terms)):
         if degree > dim:
             return None
         if degree == dim:

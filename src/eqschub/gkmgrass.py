@@ -42,6 +42,7 @@ from .exactalg import (
     _agree_at_diagonal,
     _chern_series,
     _coerce,
+    _coerce_strict,
     _difference_chain,
     _divide,
     _divide_series,
@@ -199,8 +200,10 @@ class EqClass:
     def __pow__(self, exponent: int) -> "EqClass":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = constant_class(self.shape, 1)
-        for _ in range(exponent):
+        if not exponent:
+            return constant_class(self.shape, 1)
+        result = self
+        for _ in range(exponent - 1):
             result = result * self
         return result
 
@@ -246,7 +249,7 @@ class EqClass:
             if top > n:
                 raise ParseError(f"class JSON restriction at {key} mentions t{top} on Gr({k},{n})")
             restrictions[subset] = value
-        return cls(shape, restrictions)
+        return EqClass._make(shape, {I: p for I, p in restrictions.items() if p})
 
     def __str__(self) -> str:
         return "\n".join(f"{I}: {text}" for I, text in self._texts())
@@ -255,14 +258,9 @@ class EqClass:
         return f"EqClass(Gr({self.shape.k},{self.shape.n}), {len(self._restrictions)} nonzero)"
 
 
-def _marked(c: EqClass) -> EqClass:
-    """c, marked as a Z[t]-combination of Schubert classes by construction."""
-    c._gkm = True
-    return c
-
-
 def constant_class(shape: GrassmannianShape, value) -> EqClass:
-    return _marked(EqClass(shape, {I: value for I in shape.subsets()}))
+    value = _coerce_strict(value)
+    return EqClass._make(shape, {I: value for I in shape.subsets()} if value else {}, True)
 
 
 _SCHUBERT_CACHE: dict = {}
@@ -858,10 +856,7 @@ def projective_zeta(n: int) -> EqClass:
     if n < 2:
         raise ValueError("need n >= 2")
     shape = GrassmannianShape(n, 1)
-    return _marked(EqClass(
-        shape,
-        {PivotSubset((i,)): -Polynomial.variable("t", i) for i in range(1, n + 1)},
-    ))
+    return EqClass._make(shape, {PivotSubset((i,)): -t(i) for i in range(1, n + 1)}, True)
 
 
 _BUNDLES = ("S", "S_dual", "Q")
@@ -881,11 +876,9 @@ def chern_class_taut(bundle: str, i: int, shape: GrassmannianShape) -> EqClass:
     if i < 0 or i > rank:
         raise IndexOutOfRange(f"c_{i} of a rank {rank} bundle")
     sign = -1 if bundle == "S_dual" else 1
-    restrictions = {
-        J: _chern_series(J.missing(shape.n) if bundle == "Q" else J.elements, i, sign)[i]
-        for J in shape.subsets()
-    }
-    return _marked(EqClass(shape, restrictions))
+    values = ((J, _chern_series(J.missing(shape.n) if bundle == "Q" else J.elements, i, sign)[i])
+              for J in shape.subsets())
+    return EqClass._make(shape, {J: value for J, value in values if value}, True)
 
 
 def _minors(matrix, selections):

@@ -293,8 +293,9 @@ _LONG_KEY = "{" + "1" * 5000 + ",2}"
     ({"{0,1}": "1"}, "class JSON key '{0,1}' is not a pivot subset of Gr(2,4)"),
     ({_LONG_KEY: "1"}, f"class JSON key {_LONG_KEY!r} is not a pivot subset of Gr(2,4)"),
     ({"{1,2}": "1" * 5000}, "digit run too long in polynomial text at '111111111111'"),
+    ({"{1,2}": "0", "{1, 2}": "t1"}, "class JSON names the subset {1,2} twice"),
 ], ids=["not-digits", "decreasing", "wrong-size", "out-of-range", "zero", "key-digit-run",
-        "polynomial-digit-run"])
+        "polynomial-digit-run", "zero-named-twice"])
 def test_class_json_refusal_text(tmp_path, capsys, restrictions, error):
     """Each fault ends in a ParseError that names the input, not in the text
     of the ValueError that int(), PivotSubset or EqClass raised."""

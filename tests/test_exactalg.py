@@ -3,7 +3,7 @@ import random
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from eqschub.exactalg import (
     FAMILIES,
@@ -20,6 +20,7 @@ from eqschub.exactalg import (
     ratf_sum,
     _agree_at_diagonal,
     _divide,
+    _merge,
     _render,
     _top_degree_value,
     t,
@@ -493,7 +494,7 @@ def test_top_degree_value_matches_tuple_oracle(polys, data):
     assert got == [_tuple_top_degree(a, dim) for a in polys]
 
 
-@pytest.mark.parametrize("text, dim, value", [
+_DEGREE_CASES = pytest.mark.parametrize("text, dim, value", [
     ("t1^65535 + t2", 65535, 1),
     ("t1^65535 + t2", 1, None),
     ("t2^65535 - 3*t1 + 4", 65535, 2 ** 65535),
@@ -503,11 +504,54 @@ def test_top_degree_value_matches_tuple_oracle(polys, data):
     ("t1^40000*t2^40000 + t3^2", 2, None),
     ("t1 - t1^65534*t2 + 3", 65535, -2),
 ], ids=lambda v: str(v) if not isinstance(v, int) or v.bit_length() < 64 else f"{v.bit_length()}-bit")
+
+
+@_DEGREE_CASES
 def test_top_degree_value_reads_total_degrees_from_65535_up(text, dim, value):
     # m % 65535 is the total degree of m only below 65535, so where some
     # degree reaches it the degrees are summed field by field.
     p = Polynomial.parse(text)
     assert _top_degree_value(p, dim, {}) == value == _tuple_top_degree(tuple_terms(p), dim)
+
+
+@_DEGREE_CASES
+def test_degree_readers_read_total_degrees_from_65535_up(text, dim, value):
+    # degree, is_homogeneous and homogeneous_component read total degrees as
+    # _top_degree_value does, against the per-term sums of the tuple layout.
+    p = Polynomial.parse(text)
+    degrees = {m: sum(e for _, e in m) for m in tuple_terms(p)}
+    assert p.degree() == max(degrees.values())
+    assert p.is_homogeneous() == (len(set(degrees.values())) == 1)
+    component = {m: c for m, c in tuple_terms(p).items() if degrees[m] == dim}
+    assert tuple_terms(p.homogeneous_component(dim)) == component
+
+
+# Scales of the accumulation loop: +-1, as sums and differences use, and 40
+# digits, as products with large coefficients do.
+_SCALES = st.one_of(st.sampled_from((1, -1)), st.integers(10 ** 39, 10 ** 40),
+                    st.integers(-10 ** 40, -10 ** 39))
+
+
+@given(tuple_polys(coeffs=_RENDER_COEFFS), tuple_polys(coeffs=_RENDER_COEFFS),
+       st.dictionaries(_VARIABLES, st.integers(1, 3), max_size=3), _SCALES,
+       st.sampled_from(("apart", "some", "all")))
+@settings(max_examples=150, deadline=None)
+def test_merge_matches_tuple_oracle(a, b, shift, scale, cancel):
+    # target + scale * shift * b in the tuple layout, where target is a, or a
+    # less some terms of scale * shift * b, or exactly less all of them, so
+    # that the sum cancels to empty.
+    shift = {tuple(sorted(shift.items(), reverse=True)): 1}
+    scaled = {m: scale * c for m, c in tuple_mul(shift, b).items()}
+    assume(tuple_max_exponent(scaled) <= MAX_EXPONENT)
+    if cancel == "all":
+        a = {m: -c for m, c in scaled.items()}
+    elif cancel == "some":
+        a = tuple_add(a, {m: -c for m, c in list(scaled.items())[::2]})
+    target = dict(_packed(a).items())
+    _merge(target, dict(_packed(b).items()), next(iter(_packed(shift).items()))[0], scale)
+    expected = tuple_add(a, scaled)
+    assert tuple_terms(Polynomial._make(target)) == expected
+    assert all(target.values())
 
 
 @given(tuple_polys(), st.data())

@@ -429,6 +429,21 @@ def test_marked_expressions_stay_marked_and_pass_gkm(data):
         assert not mixed._gkm
 
 
+def test_power_is_the_repeated_product():
+    # c ** e against the e-fold product from the constant class 1, for every
+    # Schubert class of Gr(2,4) and Gr(3,6) and one class given by its
+    # restrictions; the GKM mark carries over as the product's does.
+    unmarked = EqClass(GR24, {I: t(I.elements[0]) - 2 for I in GR24.subsets()})
+    classes = [unmarked] + [schubert_class(lam, shape) for shape in (GR24, GR36) for lam in shape.partitions()]
+    for c in classes:
+        products = [constant_class(c.shape, 1)]
+        for _ in range(3):
+            products.append(products[-1] * c)
+        for e, product in enumerate(products):
+            power = c ** e
+            assert power == product and power._gkm == product._gkm == (c._gkm or not e), (c, e)
+
+
 def test_parallel_construction_is_deterministic():
     from concurrent.futures import ThreadPoolExecutor
 
