@@ -434,7 +434,8 @@ def test_power_is_the_repeated_product():
     # Schubert class of Gr(2,4) and Gr(3,6) and one class given by its
     # restrictions; the GKM mark carries over as the product's does.
     unmarked = EqClass(GR24, {I: t(I.elements[0]) - 2 for I in GR24.subsets()})
-    classes = [unmarked] + [schubert_class(lam, shape) for shape in (GR24, GR36) for lam in shape.partitions()]
+    classes = [unmarked] + [schubert_class(lam, shape) for shape in (GR24, GR36)
+                            for lam in shape.partitions()]
     for c in classes:
         products = [constant_class(c.shape, 1)]
         for _ in range(3):
